@@ -139,7 +139,7 @@ let fast t = t.fp.Fastpath.enabled
 let set_fast t enabled =
   t.fp.Fastpath.enabled <- enabled;
   t.fp.Fastpath.blocks <- enabled && !Fastpath.default_blocks;
-  Fastpath.reset t.fp
+  if enabled then Fastpath.reset t.fp else Fastpath.drop t.fp
 
 let blocks t = t.fp.Fastpath.blocks
 
@@ -1277,8 +1277,7 @@ let exec_block t (blk : Fastpath.block) ~max_n ~horizon ~tgen ~tmark =
        match sxs.(i) with
        | None ->
            if i = len - 1 && blk.Fastpath.b_term_slot >= 0 then
-             Fastpath.note_term_outcome fp phys blk
-               ~taken:(t.pc <> pc_cur + 4);
+             Fastpath.note_term_outcome blk ~taken:(t.pc <> pc_cur + 4);
            go (i + 1) tg
        | Some sx ->
            if t.pc = pc_cur + sx.Fastpath.sx_hot_delta then begin
@@ -1286,7 +1285,7 @@ let exec_block t (blk : Fastpath.block) ~max_n ~horizon ~tgen ~tmark =
              go (i + 1) tg
            end
            else begin
-             Fastpath.note_side_exit fp phys blk sx;
+             Fastpath.note_side_exit fp blk sx;
              result := Bside sx
            end
      in

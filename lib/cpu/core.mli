@@ -104,8 +104,11 @@ val create :
 val fast : t -> bool
 
 val set_fast : t -> bool -> unit
-(** Toggle the fast path, resetting all its caches. The block layer
-    follows {!Fastpath.default_blocks}. *)
+(** Toggle the fast path, resetting all its caches
+    ({!Fastpath.reset}). Turning it off also empties them
+    ({!Fastpath.drop}): decoded words, branch bias and any adopted
+    translation image, so the next fast run starts cold. The block
+    layer follows {!Fastpath.default_blocks}. *)
 
 val blocks : t -> bool
 

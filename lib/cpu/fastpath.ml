@@ -68,12 +68,39 @@ and block = {
 (* One decoded physical page: 1024 instruction slots, filled lazily,
    revalidated against the frame's write generation; [blk] caches the
    superblock starting at each slot and [bias] holds the per-slot
-   saturating taken/not-taken counter driving branch folding. *)
+   saturating taken/not-taken counter driving branch folding.
+   [tmpl] is the adopted image's block templates for this page (never
+   written; all [None] when the page did not come from an image). A
+   template is used only for a slot whose [blk] entry is still [None]:
+   once a slot has held a block, dead or stale, it is re-formed.
+   [code] is the image's own array while [code_shared]; the first
+   decode into the page copies it. *)
 type dpage = {
   mutable dgen : int;
-  code : Insn.t option array;
+  mutable code : Insn.t option array;
+  mutable code_shared : bool;
   blk : block option array;
   bias : int array;
+  mutable tmpl : block option array;
+}
+
+(* A translation image: one core's decode and superblock caches frozen
+   at a snapshot, for forks of that snapshot to adopt. Each page holds
+   the decoded words and branch bias of a code frame whose bytes are
+   the snapshot's, and its blocks that were live at the freeze as
+   templates. Nothing in an image is ever written again; a fork copies
+   a page's words and bias into its own cache when it first touches
+   the frame (see [dpage_of]) and clones a template the first time it
+   dispatches it (see [block_at_cached]). *)
+type xpage = {
+  x_code : Insn.t option array;
+  x_blk : block option array;
+  x_bias : int array;
+}
+
+type image = {
+  x_snap : Phys.snapshot;
+  x_pages : (int, xpage) Hashtbl.t;  (* physical page number -> page *)
 }
 
 type t = {
@@ -94,6 +121,9 @@ type t = {
      pair of field writes — a [Some] box here is two minor words per
      code-page change, paid twice per zone-gate transit. *)
   mutable dlast : dpage;
+  (* Translation image this core seeds pages from (a fork's, or its own
+     after [freeze]), consulted whenever a page is (re)decoded. *)
+  mutable adopted : image option;
   (* Bumped whenever cached blocks are dropped wholesale: a chain link
      into a block from an older epoch is never followed. *)
   mutable epoch : int;
@@ -104,6 +134,7 @@ type t = {
   (* Block-engine statistics (host-side observability only). *)
   mutable st_hits : int;
   mutable st_builds : int;
+  mutable st_clones : int;
   mutable st_entries : int;
   mutable st_insns : int;
   mutable st_chain_follows : int;
@@ -119,11 +150,21 @@ let default_blocks = ref (Sys.getenv_opt "LZ_NO_BLOCKS" <> Some "1")
 
 let insns_per_page = Phys.page_size / 4
 
-let empty_dpage () =
-  { dgen = -1;
+(* The [tmpl] of pages that did not come from an image. Shared, so
+   never written. *)
+let no_templates = Array.make insns_per_page None
+
+let empty_dpage dgen =
+  { dgen;
     code = Array.make insns_per_page None;
+    code_shared = false;
     blk = Array.make insns_per_page None;
-    bias = Array.make insns_per_page 0 }
+    bias = Array.make insns_per_page 0;
+    tmpl = no_templates }
+
+(* What [dlast] holds while [dlast_page] is -1. Never returned by
+   [dpage_of], so never written: every core can share it. *)
+let no_dpage = empty_dpage (-1)
 
 let create ~enabled =
   { enabled;
@@ -134,12 +175,14 @@ let create ~enabled =
     ctx_gen = -1;
     dcache = Hashtbl.create 64;
     dlast_page = -1;
-    dlast = empty_dpage ();
+    dlast = no_dpage;
+    adopted = None;
     epoch = 0;
     wp_gen = -1;
     wp_armed = false;
     st_hits = 0;
     st_builds = 0;
+    st_clones = 0;
     st_entries = 0;
     st_insns = 0;
     st_chain_follows = 0;
@@ -169,7 +212,38 @@ let reset t =
   t.wp_gen <- -1;
   t.wp_armed <- false
 
+let drop t =
+  reset t;
+  Hashtbl.reset t.dcache;
+  t.dlast_page <- -1;
+  t.dlast <- no_dpage;
+  t.adopted <- None
+
+(* The adopted image's copy of physical page [ppage], if the frame
+   still holds the bytes it was decoded from. *)
+let adopted_page t phys ppage =
+  match t.adopted with
+  | Some img when Phys.unchanged_since phys img.x_snap (ppage * Phys.page_size)
+    ->
+      Hashtbl.find_opt img.x_pages ppage
+  | _ -> None
+
+(* A page entering the cache at generation [g]: the adopted image's
+   page if the frame still holds its bytes (its decoded words shared,
+   its bias copied), else empty. *)
+let new_dpage t phys ppage g =
+  match adopted_page t phys ppage with
+  | Some x ->
+      { dgen = g;
+        code = x.x_code;
+        code_shared = true;
+        blk = Array.make insns_per_page None;
+        bias = Array.copy x.x_bias;
+        tmpl = x.x_blk }
+  | None -> empty_dpage g
+
 let dpage_of t phys ppage =
+  let g = Phys.page_gen phys (ppage * Phys.page_size) in
   let dp =
     if t.dlast_page = ppage then t.dlast
     else begin
@@ -177,7 +251,7 @@ let dpage_of t phys ppage =
         match Hashtbl.find t.dcache ppage with
         | dp -> dp
         | exception Not_found ->
-            let dp = empty_dpage () in
+            let dp = new_dpage t phys ppage g in
             Hashtbl.add t.dcache ppage dp;
             dp
       in
@@ -186,14 +260,27 @@ let dpage_of t phys ppage =
       dp
     end
   in
-  let g = Phys.page_gen phys (ppage * Phys.page_size) in
   if dp.dgen <> g then begin
     (* The frame was written since these decodes were cached (page
        generations cover simulated stores and OCaml-side loads
-       alike): drop them, blocks and branch bias included. *)
-    Array.fill dp.code 0 insns_per_page None;
+       alike): drop them, blocks and branch bias included — or, if
+       the frame holds an adopted image's bytes, start from its
+       page. *)
     Array.fill dp.blk 0 insns_per_page None;
-    Array.fill dp.bias 0 insns_per_page 0;
+    (match adopted_page t phys ppage with
+    | Some x ->
+        dp.code <- x.x_code;
+        dp.code_shared <- true;
+        Array.blit x.x_bias 0 dp.bias 0 insns_per_page;
+        dp.tmpl <- x.x_blk
+    | None ->
+        if dp.code_shared then begin
+          dp.code <- Array.make insns_per_page None;
+          dp.code_shared <- false
+        end
+        else Array.fill dp.code 0 insns_per_page None;
+        Array.fill dp.bias 0 insns_per_page 0;
+        dp.tmpl <- no_templates);
     dp.dgen <- g
   end;
   dp
@@ -205,6 +292,10 @@ let fetch t phys pa =
   | Some i -> i
   | None ->
       let i = Encoding.decode (Phys.read32 phys pa) in
+      if dp.code_shared then begin
+        dp.code <- Array.copy dp.code;
+        dp.code_shared <- false
+      end;
       dp.code.(idx) <- Some i;
       i
 
@@ -376,35 +467,68 @@ let build_block t phys pa =
   dp.blk.(idx0) <- Some b;
   b
 
+(* Side-exit stubs with empty hot/cold windows and no chain memo; the
+   array itself is never written once built, so a block without folds
+   shares it. *)
+let fresh_side_exits b =
+  if b.b_folds = 0 then b.b_sx
+  else
+    Array.map
+      (Option.map (fun x ->
+           { x with sx_hot = 0; sx_cold = 0; sx_chain_va = min_int;
+                    sx_chain = None }))
+      b.b_sx
+
+(* A live block of this core from an image template. The decoded code,
+   addresses and effect bits are immutable and stay shared; everything
+   the dispatcher writes (side-exit windows, chain memos, the bias the
+   block profiles into, its liveness) is the core's own. The template
+   is the freezing core's own block, which that core may still write,
+   so every mutable field is set here, none is copied. *)
+let clone_block t dp idx tb =
+  let b =
+    { tb with
+      b_dgen = dp.dgen;
+      b_sx = fresh_side_exits tb;
+      b_epoch = t.epoch;
+      b_dead = false;
+      b_prof = dp.bias;
+      b_succ_va = min_int;
+      b_succ = None;
+      b_succ2_va = min_int;
+      b_succ2 = None }
+  in
+  t.st_clones <- t.st_clones + 1;
+  dp.blk.(idx) <- Some b;
+  b
+
 (* The block starting at physical address [pa], from cache or freshly
-   built, plus whether it was served from cache.  [dpage_of] has
-   already dropped stale blocks if the frame's generation moved, so a
-   cached block here is valid by construction; the [b_dgen] check is
-   defensive. *)
+   built, plus whether it was served from cache (a clone of an adopted
+   template counts as cached).  [dpage_of] has already dropped stale
+   blocks if the frame's generation moved, so a cached block here is
+   valid by construction; the [b_dgen] check is defensive. *)
 let block_at_cached t phys pa =
   let dp = dpage_of t phys (pa / Phys.page_size) in
   let idx = (pa land (Phys.page_size - 1)) lsr 2 in
+  let build () =
+    t.st_builds <- t.st_builds + 1;
+    (build_block t phys pa, false)
+  in
   match dp.blk.(idx) with
   | Some b when b.b_dgen = dp.dgen && b.b_epoch = t.epoch && not b.b_dead ->
       (b, true)
-  | _ ->
-      t.st_builds <- t.st_builds + 1;
-      (build_block t phys pa, false)
+  | None -> (
+      match dp.tmpl.(idx) with
+      | Some tb -> (clone_block t dp idx tb, true)
+      | None -> build ())
+  | Some _ -> build ()
 
 let block_at t phys pa = fst (block_at_cached t phys pa)
 
 (* Retire one block (bias retraining, never correctness): mark it dead
-   so chain memos refuse it and clear its cache slot so the next
-   dispatch re-forms it from the live bias. *)
-let kill_block t phys b =
-  if not b.b_dead then begin
-    b.b_dead <- true;
-    let dp = dpage_of t phys (b.b_page / Phys.page_size) in
-    let idx = (b.b_pa land (Phys.page_size - 1)) lsr 2 in
-    match dp.blk.(idx) with
-    | Some cur when cur == b -> dp.blk.(idx) <- None
-    | _ -> ()
-  end
+   so chain memos and the dispatcher refuse it; the next dispatch at
+   its slot re-forms it from the live bias. *)
+let kill_block b = b.b_dead <- true
 
 (* Called by the dispatcher on the cold direction of a folded branch.
    The hot/cold window decides retraining: while cold exits stay rare
@@ -413,13 +537,13 @@ let kill_block t phys b =
    hot the bias has flipped, so the block is killed, the branch's
    bias reset to neutral, and the next entry re-forms the tree (the
    block ends at the branch again until a fresh bias builds up). *)
-let note_side_exit t phys b sx =
+let note_side_exit t b sx =
   t.st_side_exits <- t.st_side_exits + 1;
   sx.sx_cold <- sx.sx_cold + 1;
   if sx.sx_cold >= retrain_min then
     if sx.sx_cold >= sx.sx_hot then begin
       b.b_prof.(sx.sx_slot) <- 0;
-      kill_block t phys b;
+      kill_block b;
       t.st_retrains <- t.st_retrains + 1
     end
     else begin
@@ -432,7 +556,7 @@ let note_side_exit t phys b sx =
    once it crosses the fold threshold in a direction that formation
    recorded as foldable, kill the block so the next entry re-forms it
    with the branch folded in (growing the trace tree). *)
-let note_term_outcome t phys b ~taken =
+let note_term_outcome b ~taken =
   let v = b.b_prof.(b.b_term_slot) in
   let v' =
     if taken then if v < bias_sat then v + 1 else v
@@ -443,7 +567,7 @@ let note_term_outcome t phys b ~taken =
   if
     (v' >= fold_threshold && b.b_fold_taken_ok)
     || (v' <= -fold_threshold && b.b_fold_fall_ok)
-  then kill_block t phys b
+  then kill_block b
 
 (* ------------------------------------------------------------------ *)
 (* Chaining: each block memoizes up to two successor blocks keyed by
@@ -490,12 +614,53 @@ let sx_chain_store sx ~va succ =
   sx.sx_chain <- Some succ
 
 (* ------------------------------------------------------------------ *)
+(* Translation images *)
+
+(* Freeze this core's caches for snapshot [snap] of [phys]. The pages
+   whose decodes are current ([dgen] matches) and whose frame still
+   holds the captured bytes move into the image as they are, keeping
+   only blocks live in this epoch; nothing is copied. The core bumps
+   its epoch, so it never runs (and so never writes) a moved block
+   again, and adopts the image, so it gets its pages back as copies. *)
+let freeze t phys snap =
+  let pages = Hashtbl.create 16 in
+  Hashtbl.filter_map_inplace
+    (fun ppage dp ->
+      let pa = ppage * Phys.page_size in
+      if dp.dgen = Phys.page_gen phys pa && Phys.unchanged_since phys snap pa
+      then begin
+        Array.iteri
+          (fun i -> function
+            | Some b
+              when b.b_dgen = dp.dgen && b.b_epoch = t.epoch && not b.b_dead
+              ->
+                ()
+            | Some _ -> dp.blk.(i) <- None
+            | None -> dp.blk.(i) <- dp.tmpl.(i))
+          dp.blk;
+        Hashtbl.replace pages ppage
+          { x_code = dp.code; x_blk = dp.blk; x_bias = dp.bias };
+        None
+      end
+      else Some dp)
+    t.dcache;
+  t.dlast_page <- -1;
+  t.dlast <- no_dpage;
+  t.epoch <- t.epoch + 1;
+  let img = { x_snap = snap; x_pages = pages } in
+  t.adopted <- Some img;
+  img
+
+let adopt t img = t.adopted <- Some img
+
+(* ------------------------------------------------------------------ *)
 (* Statistics *)
 
 type stats = {
   blk_entries : int;
   blk_hits : int;
   blk_builds : int;
+  blk_clones : int;
   blk_insns : int;
   chain_follows : int;
   side_exits : int;
@@ -508,6 +673,7 @@ let stats t =
   { blk_entries = t.st_entries;
     blk_hits = t.st_hits;
     blk_builds = t.st_builds;
+    blk_clones = t.st_clones;
     blk_insns = t.st_insns;
     chain_follows = t.st_chain_follows;
     side_exits = t.st_side_exits;
@@ -518,6 +684,7 @@ let stats t =
 let reset_stats t =
   t.st_hits <- 0;
   t.st_builds <- 0;
+  t.st_clones <- 0;
   t.st_entries <- 0;
   t.st_insns <- 0;
   t.st_chain_follows <- 0;

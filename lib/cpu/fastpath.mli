@@ -64,12 +64,25 @@ and block = {
 
 type dpage = {
   mutable dgen : int;  (** {!Lz_mem.Phys.page_gen} at decode time. *)
-  code : Lz_arm.Insn.t option array;
+  mutable code : Lz_arm.Insn.t option array;
+  mutable code_shared : bool;
+      (** [code] is an adopted image's array, never written: the first
+          decode into the page copies it. *)
   blk : block option array;  (** superblock starting at each slot. *)
   bias : int array;
       (** per-slot saturating taken/not-taken counters driving branch
           folding; reset with the decodes when the frame changes. *)
+  mutable tmpl : block option array;
+      (** the adopted image's block templates for this page, cloned
+          into [blk] at slots that have not held a block yet; all
+          [None] when the page did not come from an image. Never
+          written. *)
 }
+
+type image
+(** A translation image: one core's decode and superblock caches frozen
+    at a snapshot (see {!freeze}). Immutable; any number of cores may
+    adopt it. *)
 
 type t = {
   mutable enabled : bool;
@@ -81,11 +94,15 @@ type t = {
   dcache : (int, dpage) Hashtbl.t;
   mutable dlast_page : int;
   mutable dlast : dpage;
+  mutable adopted : image option;
+      (** translation image this core seeds its cache from (see
+          {!adopt}). *)
   mutable epoch : int;
   mutable wp_gen : int;
   mutable wp_armed : bool;
   mutable st_hits : int;
   mutable st_builds : int;
+  mutable st_clones : int;
   mutable st_entries : int;
   mutable st_insns : int;
   mutable st_chain_follows : int;
@@ -120,6 +137,41 @@ val reset : t -> unit
     bump, front TLBs, memoized context, watchpoint flag). Safe at any
     point: everything is rebuilt on demand; decoded words persist
     under their generation checks. *)
+
+val drop : t -> unit
+(** {!reset}, and also empty the decode cache, branch bias and any
+    adopted image: the next run starts cold. *)
+
+(** {1 Translation images}
+
+    How a fork of a warm snapshot starts with the source's
+    translations instead of re-forming them. The image is exact
+    because it is keyed on frame {e contents}, not generations: a page
+    is used only while the adopting core's frame is still bound to the
+    slot the snapshot pins ({!Lz_mem.Phys.unchanged_since}), and a
+    pinned slot is never written in place. *)
+
+val freeze : t -> Lz_mem.Phys.t -> Lz_mem.Phys.snapshot -> image
+(** [freeze t phys snap] turns [t]'s caches for snapshot [snap] of
+    [phys] into an image. Each code page whose decodes are current and
+    whose frame still holds the captured bytes moves into the image,
+    uncopied: its decoded words, its branch bias, and its blocks live
+    in the current epoch as templates (dead blocks and blocks of older
+    epochs are left out; chain memos and side-exit windows are never
+    read from a template). [t] then bumps its epoch and adopts the
+    image itself, so it re-seeds those pages as copies when it runs
+    again. Cost: O(cached pages), no allocation per page. *)
+
+val adopt : t -> image -> unit
+(** Seed [t]'s cache from [image] (O(1); the image is held by
+    reference). Whenever [t] decodes a page afresh — first touch, or
+    its generation moved — and the frame still holds the image's
+    bytes, it starts from a copy of the page's words and bias and from
+    its templates instead. The first dispatch of a template clones
+    it: the decoded code,
+    addresses and effect bits stay shared with the image; side exits,
+    chain links, the profiled bias and the epoch are [t]'s own. A
+    clone counts in [blk_clones] and as a cache hit, not as a build. *)
 
 (** {1 Superblocks}
 
@@ -165,16 +217,16 @@ val block_at_cached : t -> Lz_mem.Phys.t -> int -> block * bool
 (** {!block_at} plus whether the block was served from cache — the
     dispatcher counts cached dispatches from this. *)
 
-val kill_block : t -> Lz_mem.Phys.t -> block -> unit
-(** Retire one block (bias retraining): mark it dead and clear its
-    cache slot so the next dispatch re-forms it. *)
+val kill_block : block -> unit
+(** Retire one block (bias retraining): mark it dead, so the next
+    dispatch at its slot re-forms it and chain memos refuse it. *)
 
-val note_side_exit : t -> Lz_mem.Phys.t -> block -> side_exit -> unit
+val note_side_exit : t -> block -> side_exit -> unit
 (** Record one cold-direction exit through [side_exit]; retrains (kills
     the block, resets the branch bias) when cold exits catch up with
     hot continuations. *)
 
-val note_term_outcome : t -> Lz_mem.Phys.t -> block -> taken:bool -> unit
+val note_term_outcome : block -> taken:bool -> unit
 (** Record an unfolded conditional terminator's outcome at [Bend];
     kills the block for re-formation once the bias crosses the fold
     threshold in a foldable direction. *)
@@ -204,6 +256,7 @@ type stats = {
   blk_entries : int;  (** blocks dispatched (executions). *)
   blk_hits : int;  (** dispatches served from a cached block. *)
   blk_builds : int;  (** blocks built fresh. *)
+  blk_clones : int;  (** blocks cloned from an adopted image. *)
   blk_insns : int;  (** instructions retired inside blocks. *)
   chain_follows : int;  (** dispatches that followed a chain memo. *)
   side_exits : int;  (** cold-direction exits through side-exit stubs. *)

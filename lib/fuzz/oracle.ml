@@ -14,9 +14,8 @@
    Determinism: the campaign never reads the clock, the VMID
    allocator is pinned (every fork re-enters under the same VMID, so
    event streams carrying VMIDs compare equal across cases and runs),
-   and dropped fork views are reclaimed by rebuilding the warm image
-   every [recycle_every] cases (the CoW store has no per-view
-   disposal). *)
+   and each case retires its fork, which gives the fork's memory
+   back, so one warm image serves the whole campaign. *)
 
 module Sb = Lz_eval.Switch_bench
 module Snapshot = Lz_snap.Snapshot
@@ -61,10 +60,8 @@ type env = {
   cm : Lz_cpu.Cost_model.t;
   domains : int;
   slice_n : int;
-  recycle_every : int;
-  mutable z : Kmod.t;
-  mutable image : Snapshot.t;
-  mutable cases_since_build : int;
+  z : Kmod.t;
+  image : Snapshot.t;
 }
 
 let build cm ~domains ~slice_n =
@@ -73,21 +70,12 @@ let build cm ~domains ~slice_n =
   let r = Sb.prepare cm ~env:Sb.Host ~domains ~n:slice_n in
   (r.Sb.t, Snapshot.capture r.Sb.t)
 
-let create ?(recycle_every = 400) ?slice_n ~domains cm =
+let create ?slice_n ~domains cm =
   let slice_n =
     match slice_n with Some n -> n | None -> max 64 (2 * domains)
   in
   let z, image = build cm ~domains ~slice_n in
-  { cm; domains; slice_n; recycle_every; z; image; cases_since_build = 0 }
-
-let maybe_recycle env =
-  if env.cases_since_build >= env.recycle_every then begin
-    Snapshot.release env.z env.image;
-    let z, image = build env.cm ~domains:env.domains ~slice_n:env.slice_n in
-    env.z <- z;
-    env.image <- image;
-    env.cases_since_build <- 0
-  end
+  { cm; domains; slice_n; z; image }
 
 (* ------------------------------------------------------------------ *)
 (* Scenario setup on a fresh fork *)
@@ -681,8 +669,6 @@ let run_smp_race_case env (c : Fuzz_case.t) =
 let run_case env (c : Fuzz_case.t) =
   if c.kind = Fuzz_case.Smp_race then run_smp_race_case env c
   else begin
-  maybe_recycle env;
-  env.cases_since_build <- env.cases_since_build + 1;
   Api.next_vmid := vmid_base + 1;
   let f = Snapshot.fork env.z env.image in
   let tr0 = Trace.create ~capacity:16384 () in

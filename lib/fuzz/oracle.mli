@@ -9,8 +9,9 @@
 
     Determinism: no wall-clock reads; [Api.next_vmid] is pinned so
     every fork re-enters under the same VMID (event streams carrying
-    VMIDs stay comparable); dropped fork views are reclaimed by
-    rebuilding the warm image every [recycle_every] cases. *)
+    VMIDs stay comparable); each case retires its fork, which gives
+    the fork's memory back, so one warm image serves the whole
+    campaign. *)
 
 type engine = Slow | Per_insn | Blocks
 
@@ -21,15 +22,11 @@ type env = {
   cm : Lz_cpu.Cost_model.t;
   domains : int;
   slice_n : int;
-  recycle_every : int;
-  mutable z : Lightzone.Kmod.t;
-  mutable image : Lz_snap.Snapshot.t;
-  mutable cases_since_build : int;
+  z : Lightzone.Kmod.t;
+  image : Lz_snap.Snapshot.t;
 }
 
-val create :
-  ?recycle_every:int -> ?slice_n:int -> domains:int ->
-  Lz_cpu.Cost_model.t -> env
+val create : ?slice_n:int -> domains:int -> Lz_cpu.Cost_model.t -> env
 (** Build the warm image (pinning the VMID allocator) and wrap it for
     per-case forking. [slice_n] defaults to [max 64 (2 * domains)]. *)
 

@@ -25,9 +25,13 @@ type t = {
   bits : int;
   space : int;  (* number of allocatable ASIDs: (1 lsl bits) - lo *)
   lo : int;  (* lowest allocatable ASID (0 is reserved for TTBR1) *)
-  live : Bytes.t;  (* '\001' = currently held by a zone *)
-  dirty : Bytes.t;  (* '\001' = freed since the last rollover flush *)
-  used : Bytes.t;  (* '\001' = handed out at least once, ever *)
+  mutable live : Bytes.t;  (* '\001' = currently held by a zone *)
+  mutable dirty : Bytes.t;  (* '\001' = freed since the last rollover flush *)
+  mutable used : Bytes.t;  (* '\001' = handed out at least once, ever *)
+  (* The three maps are shared with captured states (and with forks
+     built from them), which never write them: the first change after
+     a capture, restore or [of_state] copies them. *)
+  mutable shared : bool;
   mutable rotor : int;  (* next scan position, in [0, space) *)
   mutable live_count : int;
   mutable generation : int;
@@ -46,6 +50,7 @@ let create ?(bits = 14) ~flush () =
     live = Bytes.make space '\000';
     dirty = Bytes.make space '\000';
     used = Bytes.make space '\000';
+    shared = false;
     rotor = 0;
     live_count = 0;
     generation = 0;
@@ -60,6 +65,14 @@ let live_count t = t.live_count
 let generation t = t.generation
 let rollovers t = t.rollovers
 let recycled t = t.recycled
+
+let own t =
+  if t.shared then begin
+    t.live <- Bytes.copy t.live;
+    t.dirty <- Bytes.copy t.dirty;
+    t.used <- Bytes.copy t.used;
+    t.shared <- false
+  end
 
 let rollover t =
   t.generation <- t.generation + 1;
@@ -83,6 +96,7 @@ let alloc t =
     failwith
       (Printf.sprintf "Asid_alloc: all %d ASIDs live (too many zones)"
          t.space);
+  own t;
   let slot =
     match scan t with
     | Some i -> i
@@ -107,6 +121,7 @@ let free t asid =
   if slot < 0 || slot >= t.space then invalid_arg "Asid_alloc.free: range";
   if Bytes.get t.live slot = '\000' then
     invalid_arg "Asid_alloc.free: ASID not live";
+  own t;
   Bytes.set t.live slot '\000';
   (* Deferred invalidation: the ASID keeps its (unreachable) TLB
      entries until the next rollover flush cleans them wholesale. *)
@@ -131,11 +146,13 @@ type state = {
   st_recycled : int;
 }
 
+(* A state's maps are shared with [t], so they are never written. *)
 let capture t =
+  t.shared <- true;
   {
-    st_live = Bytes.copy t.live;
-    st_dirty = Bytes.copy t.dirty;
-    st_used = Bytes.copy t.used;
+    st_live = t.live;
+    st_dirty = t.dirty;
+    st_used = t.used;
     st_rotor = t.rotor;
     st_live_count = t.live_count;
     st_generation = t.generation;
@@ -144,9 +161,12 @@ let capture t =
   }
 
 let restore t s =
-  Bytes.blit s.st_live 0 t.live 0 t.space;
-  Bytes.blit s.st_dirty 0 t.dirty 0 t.space;
-  Bytes.blit s.st_used 0 t.used 0 t.space;
+  if Bytes.length s.st_live <> t.space then
+    invalid_arg "Asid_alloc.restore: space";
+  t.live <- s.st_live;
+  t.dirty <- s.st_dirty;
+  t.used <- s.st_used;
+  t.shared <- true;
   t.rotor <- s.st_rotor;
   t.live_count <- s.st_live_count;
   t.generation <- s.st_generation;
@@ -156,9 +176,23 @@ let restore t s =
 (* A forked machine adopts the captured allocator under its own flush
    callback (its own VMID / TLB). *)
 let of_state ~bits ~flush s =
-  let t = create ~bits ~flush () in
-  restore t s;
-  t
+  if (1 lsl bits) - 1 <> Bytes.length s.st_live then
+    invalid_arg "Asid_alloc.of_state: bits";
+  {
+    bits;
+    space = (1 lsl bits) - 1;
+    lo = 1;
+    live = s.st_live;
+    dirty = s.st_dirty;
+    used = s.st_used;
+    shared = true;
+    rotor = s.st_rotor;
+    live_count = s.st_live_count;
+    generation = s.st_generation;
+    rollovers = s.st_rollovers;
+    recycled = s.st_recycled;
+    flush;
+  }
 
 let state_bits s =
   (* Recover the bit width from the captured arrays. *)

@@ -39,6 +39,9 @@ val recycled : t -> int
 (** {1 Snapshot support} *)
 
 type state
+(** Capture, restore and [of_state] share the allocator's maps instead
+    of copying them, so each is O(1); the first [alloc] or [free]
+    after one copies the maps. *)
 
 val capture : t -> state
 val restore : t -> state -> unit

@@ -27,12 +27,18 @@ val fake_of_real : t -> int -> int option
 val assigned : t -> int
 (** Number of frames with fake addresses (table memory accounting). *)
 
-val clone : t -> t
-(** Independent copy of the assignment tables (machine forking). *)
-
 (** {1 Snapshot} *)
 
 type state
 
+(** Restore and [of_state] share the captured tables instead of
+    copying them, so each is O(1); later assignments go to a private
+    overlay. [capture] is O(1) unless frames were assigned since the
+    last capture or restore. *)
+
 val capture : t -> state
 val restore : t -> state -> unit
+
+val of_state : state -> t
+(** Independent tables built straight from a captured state (machine
+    forking). *)

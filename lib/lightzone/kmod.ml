@@ -30,6 +30,13 @@ type shadow = {
   mutable sig_stack : signal_frame list;   (* live signal contexts *)
 }
 
+(* asid -> pgt id + 1 (0 = no live table): the O(1) inverse the fault
+   path uses to resolve TTBR0 to a zone without scanning. [idx] may be
+   shared with snapshots and forks ([shared]); shared arrays are never
+   written, so the first change after sharing copies it. Thread copies
+   of the module record share this record, so they see one index. *)
+type asid_index = { mutable idx : int array; mutable shared : bool }
+
 type t = {
   kernel : Kernel.t;
   proc : Proc.t;
@@ -46,9 +53,7 @@ type t = {
   ttbrtab_pa : int;
   pgts : Lz_table.t Zone_tab.t;
   asids : Asid_alloc.t;
-  asid_pgt : int array;
-    (* asid -> pgt id + 1 (0 = no live table): the O(1) inverse the
-       fault path uses to resolve TTBR0 to a zone without scanning. *)
+  asid_pgt : asid_index;
   shadow : shadow ref;
   mutable terminated : string option;
   mutable traps : int;
@@ -164,6 +169,14 @@ let build_ttbr1_region t =
 (* ------------------------------------------------------------------ *)
 (* Page tables *)
 
+let set_asid_pgt t asid v =
+  let a = t.asid_pgt in
+  if a.shared then begin
+    a.idx <- Array.copy a.idx;
+    a.shared <- false
+  end;
+  a.idx.(asid) <- v
+
 let new_pgt t =
   (* Id recycling keeps the id space dense, so the high-water mark
      can only grow while every lower id is live: a simple live-count
@@ -177,7 +190,7 @@ let new_pgt t =
       ~asid
   in
   Zone_tab.set t.pgts id tbl;
-  t.asid_pgt.(asid) <- id + 1;
+  set_asid_pgt t asid (id + 1);
   Gate.set_ttbr t.machine.Machine.phys ~ttbrtab_pa:t.ttbrtab_pa ~pgt:id
     ~ttbr:(Lz_table.ttbr tbl);
   id
@@ -192,9 +205,10 @@ let pgt_ttbr t id = Lz_table.ttbr (Zone_tab.get t.pgts id)
 let current_pgt t =
   let ttbr0 = Sysreg.read t.core.Core.sys Sysreg.TTBR0_EL1 in
   let asid = Mmu.ttbr_asid ttbr0 in
-  if asid >= Array.length t.asid_pgt then None
+  let idx = t.asid_pgt.idx in
+  if asid >= Array.length idx then None
   else
-    match t.asid_pgt.(asid) with
+    match idx.(asid) with
     | 0 -> None
     | n -> (
         let id = n - 1 in
@@ -202,13 +216,14 @@ let current_pgt t =
         | Some tbl when Lz_table.ttbr tbl = ttbr0 -> Some (id, tbl)
         | _ -> None)
 
-(* Rebuild [asid_pgt] from the live zone table — snapshot restore and
-   machine forking overwrite [pgts] wholesale. *)
-let rebuild_asid_index t =
-  Array.fill t.asid_pgt 0 (Array.length t.asid_pgt) 0;
-  Zone_tab.iteri
-    (fun id tbl -> t.asid_pgt.(tbl.Lz_table.asid) <- id + 1)
-    t.pgts
+(* A handle on the index as it is now, for a snapshot or a fork. *)
+let share_asid_index a =
+  a.shared <- true;
+  { idx = a.idx; shared = true }
+
+let restore_asid_index t a =
+  t.asid_pgt.idx <- a.idx;
+  t.asid_pgt.shared <- true
 
 let unmap_everywhere t ~va =
   let sh = shadow_of t in
@@ -289,7 +304,7 @@ let enter ?(backend = Host) ?(asid_bits = 14) ~allow_scalable ~san_mode
       gatetab_pa = 0; ttbrtab_pa = 0;
       pgts = Zone_tab.create ();
       asids;
-      asid_pgt = Array.make (1 lsl asid_bits) 0;
+      asid_pgt = { idx = Array.make (1 lsl asid_bits) 0; shared = false };
       shadow =
         ref
           { prot = Hashtbl.create 64; mapped_in = Hashtbl.create 256;
@@ -344,7 +359,7 @@ let lz_free t id =
       Zone_tab.remove t.pgts id;
       Gate.set_ttbr t.machine.Machine.phys ~ttbrtab_pa:t.ttbrtab_pa ~pgt:id
         ~ttbr:0;
-      t.asid_pgt.(tbl.Lz_table.asid) <- 0;
+      set_asid_pgt t tbl.Lz_table.asid 0;
       Asid_alloc.free t.asids tbl.Lz_table.asid;
       Lz_table.destroy tbl
 

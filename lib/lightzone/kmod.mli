@@ -30,6 +30,10 @@ type shadow_state
 (** Deep copy of one process's shadow registry (protection registry,
     domain membership, sanitized-frame set, signal state). *)
 
+type asid_index
+(** The ASID-to-zone index, copy-on-write so snapshots and forks share
+    it. *)
+
 type t = {
   kernel : Lz_kernel.Kernel.t;
   proc : Lz_kernel.Proc.t;
@@ -46,7 +50,7 @@ type t = {
   ttbrtab_pa : int;
   pgts : Lz_table.t Zone_tab.t;
   asids : Asid_alloc.t;
-  asid_pgt : int array;
+  asid_pgt : asid_index;
       (** asid -> pgt id + 1 (0 = none): O(1) TTBR0-to-zone
           resolution on the fault path. *)
   shadow : shadow_state ref;
@@ -173,9 +177,13 @@ val install_shadow : shadow_state -> shadow_state ref
 (** A fresh live registry holding a copy of a captured one — machine
     forking, where the fork's record gets its own [shadow] cell. *)
 
-val rebuild_asid_index : t -> unit
-(** Recompute [asid_pgt] from [pgts] — call after snapshot restore or
-    forking replaces the zone table wholesale. *)
+val share_asid_index : asid_index -> asid_index
+(** A handle on the index as it is now, sharing its array until either
+    side changes it — snapshot capture, and machine forking, where the
+    fork's record starts from the captured index. *)
+
+val restore_asid_index : t -> asid_index -> unit
+(** Make a captured index live again (snapshot restore). *)
 
 val install_sync_hooks : t -> unit
 (** (Re)bind [proc.on_unmap]/[on_protect] to this module handle.

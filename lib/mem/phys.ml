@@ -48,9 +48,12 @@ type map = {
      OCaml-modelled) invalidates cached decodes for it. *)
   mutable gens : int array;
   (* Every view sharing this map (self included): slot-identity
-     changes performed at a barrier (snapshot, restore, clone pinning)
+     changes performed at a barrier (snapshot, restore, dispose)
      must invalidate every view's memo, not just the caller's. *)
   mutable views : t list;
+  (* Set by [dispose]: the map holds no slots any more and refuses
+     allocation and writes. *)
+  mutable disposed : bool;
 }
 
 and t = {
@@ -59,7 +62,7 @@ and t = {
   (* 1-entry memo of the last materialized frame touched: [last_base]
      is the word index of its slot. Invalidated whenever the frame's
      identity can change under it — free/zero, CoW unshare, snapshot,
-     restore and clone (which change slot sharing) — so a memoized
+     restore and dispose (which change slot sharing) — so a memoized
      base can never alias a slot the frame no longer owns.
      [last_writable] additionally means the slot was unshared
      (refcount 1) when memoized, so stores may go straight through.
@@ -106,7 +109,8 @@ let create ?(size_mib = 512) () =
       max_frames = size_mib * 256;
       handed_out = 0;
       gens = Array.make 1024 0;
-      views = [] }
+      views = [];
+      disposed = false }
   in
   let t =
     { store; map; last_n = -1; last_base = -1; last_writable = false }
@@ -121,7 +125,7 @@ let invalidate_memo t =
 
 (* Invalidate the memo of every view sharing the map — required by
    slot-identity changes that other aliases may have memoized
-   (snapshot/clone pinning, restore, frame free). Barrier-time or
+   (snapshot pinning, restore, frame free, dispose). Barrier-time or
    kernel-path only, never on the access fast path. *)
 let invalidate_all_memos t =
   List.iter invalidate_memo t.map.views
@@ -181,19 +185,20 @@ let alloc_slot st ~zero =
   if zero then zero_slot st slot;
   slot
 
-(* Only called from quiescent points (snapshot / restore / clone), so
+(* Only called from quiescent points (snapshot / restore / fork), so
    no lock: nothing else mutates refcounts concurrently there. *)
 let incref st slot = st.refs.(slot) <- st.refs.(slot) + 1
 
-let decref st slot =
-  Mutex.lock st.lock;
+(* Caller holds the store lock. *)
+let decref_locked st slot =
   let r = st.refs.(slot) - 1 in
   st.refs.(slot) <- r;
   if r = 0 then begin
     st.free_slots <- slot :: st.free_slots;
     st.live_slots <- st.live_slots - 1
-  end;
-  Mutex.unlock st.lock
+  end
+
+let decref st slot = Mutex.protect st.lock (fun () -> decref_locked st slot)
 
 (* ------------------------------------------------------------------ *)
 (* Frame map *)
@@ -278,6 +283,7 @@ let rw_base t n =
     let slot = slot_of t n in
     let slot =
       if slot < 0 then begin
+        if t.map.disposed then invalid_arg "Phys: write to a disposed view";
         let s = alloc_slot st ~zero:true in
         set_slot t n s;
         forget_frame t n;
@@ -306,7 +312,11 @@ let rw_base t n =
 (* ------------------------------------------------------------------ *)
 (* Allocation *)
 
+let check_live t ~who =
+  if t.map.disposed then invalid_arg (who ^ ": view disposed")
+
 let alloc_frame t =
+  check_live t ~who:"Phys.alloc_frame";
   let m = t.map in
   Mutex.protect t.store.lock (fun () ->
       m.handed_out <- m.handed_out + 1;
@@ -323,6 +333,7 @@ let alloc_frame t =
 
 let alloc_frames t n =
   if n <= 0 then invalid_arg "Phys.alloc_frames";
+  check_live t ~who:"Phys.alloc_frames";
   let m = t.map in
   Mutex.protect t.store.lock (fun () ->
       if m.next_frame + n > m.max_frames then
@@ -347,6 +358,7 @@ let zero_frame t pa =
   end
 
 let free_frame t pa =
+  check_live t ~who:"Phys.free_frame";
   zero_frame t pa;
   let m = t.map in
   Mutex.protect t.store.lock (fun () ->
@@ -557,6 +569,7 @@ let write_bytes t pa b =
 (* Snapshot / restore / fork *)
 
 let snapshot t =
+  check_live t ~who:"Phys.snapshot";
   let m = t.map in
   Array.iter (fun s -> if s >= 0 then incref t.store s) m.slot_of;
   (* Sharing just went up: any alias's cached writable base may now
@@ -626,18 +639,22 @@ let release t s =
   Array.iter (fun sl -> if sl >= 0 then decref t.store sl) s.s_slot_of;
   s.s_live <- false
 
-let cow_clone t =
-  let m = t.map in
-  Array.iter (fun s -> if s >= 0 then incref t.store s) m.slot_of;
-  invalidate_all_memos t;
+(* A new view at the captured image, in one pass over the frame map:
+   every slot the snapshot pins gains the view's reference, and the
+   allocator state is the snapshot's. The new view's generation
+   counters continue from [t]'s. *)
+let of_snapshot t s =
+  check_snapshot t s ~who:"Phys.of_snapshot";
+  Array.iter (fun sl -> if sl >= 0 then incref t.store sl) s.s_slot_of;
   let map =
-    { slot_of = Array.copy m.slot_of;
-      next_frame = m.next_frame;
-      free_list = m.free_list;
-      max_frames = m.max_frames;
-      handed_out = m.handed_out;
-      gens = Array.copy m.gens;
-      views = [] }
+    { slot_of = Array.copy s.s_slot_of;
+      next_frame = s.s_next_frame;
+      free_list = s.s_free_list;
+      max_frames = t.map.max_frames;
+      handed_out = s.s_handed_out;
+      gens = Array.copy t.map.gens;
+      views = [];
+      disposed = false }
   in
   let v =
     { store = t.store; map; last_n = -1; last_base = -1;
@@ -645,6 +662,35 @@ let cow_clone t =
   in
   map.views <- [ v ];
   v
+
+(* A snapshot pins every slot it references, so while it is live any
+   write to such a slot through any view unshares first: a frame still
+   bound to its captured slot holds exactly its captured bytes. Page
+   generations cannot answer this across views — two sibling views
+   can each write a frame once and reach the same generation with
+   different bytes. Holes compare equal too: both read as zeroes. *)
+let unchanged_since t s pa =
+  s.s_live && s.s_store == t.store
+  &&
+  let n = pa / page_size in
+  let old = if n < Array.length s.s_slot_of then s.s_slot_of.(n) else -1 in
+  slot_of t n = old
+
+(* Give every slot back to the store. Aliases share the map, so they
+   are disposed with it. *)
+let dispose t =
+  let m = t.map and st = t.store in
+  if not m.disposed then begin
+    m.disposed <- true;
+    Mutex.protect st.lock (fun () ->
+        Array.iter (fun sl -> if sl >= 0 then decref_locked st sl) m.slot_of);
+    m.slot_of <- [||];
+    m.free_list <- [];
+    m.handed_out <- 0;
+    invalidate_all_memos t
+  end
+
+let disposed t = t.map.disposed
 
 (* ------------------------------------------------------------------ *)
 (* Accounting *)

@@ -2,7 +2,7 @@
     copy-on-write slot store backed by a Bigarray of 64-bit words.
 
     Every [t] is a *view*: a map from frame numbers to slots in a
-    shared backing store. Views created by {!cow_clone} (and images
+    shared backing store. Views created by {!of_snapshot} (and images
     captured by {!snapshot}) share slots; a write to a shared slot
     copies it first (unshare-on-write), so forking a machine or
     restoring a snapshot costs O(frames touched since), never
@@ -108,11 +108,31 @@ val dirty_pages : t -> snapshot -> int
 (** Number of frames whose slot binding differs from the capture,
     without restoring. *)
 
-val cow_clone : t -> t
-(** Fork the view: a new [t] over the same backing store with every
-    frame initially shared. Writes on either side unshare per-frame.
-    Allocator state and generation counters are copied, so the clone
-    allocates and invalidates independently. *)
+val of_snapshot : t -> snapshot -> t
+(** Fork a view at the captured image: a new [t] over the same backing
+    store whose frame map and allocator state are the snapshot's, with
+    every frame shared. One pass over the frame map; no contents move.
+    Writes on either side unshare per-frame, so the new view allocates
+    and invalidates independently. [t] is any view the snapshot was
+    taken of (its generation counters seed the new view's). *)
+
+val unchanged_since : t -> snapshot -> int -> bool
+(** [unchanged_since t s pa] holds when the frame containing [pa] is,
+    in view [t], still bound to the slot snapshot [s] pins for it (or
+    is a hole in both), and [s] is live. A pinned slot is never
+    written in place — every write unshares it first — so [true]
+    means the frame holds exactly its captured bytes. Unlike
+    {!page_gen}, this is exact across views: sibling views can reach
+    equal generations with different bytes. *)
+
+val dispose : t -> unit
+(** Give back every slot the view's frame map holds and make the view
+    unusable: allocation, snapshots and writes raise
+    [Invalid_argument], reads return zeroes. Aliases share the map and
+    are disposed with it. For views of finished forks, so that a
+    fork-per-request fleet does not grow the store. Idempotent. *)
+
+val disposed : t -> bool
 
 (** {1 Accounting} *)
 

@@ -84,9 +84,8 @@ let restore_pstate (dst : Pstate.t) (src : Pstate.t) =
   dst.Pstate.daif <- src.Pstate.daif;
   dst.Pstate.sp_sel <- src.Pstate.sp_sel
 
-(* [tlb] is off for forks: a forked machine starts with a cold TLB of
-   the same geometry (migration semantics — misses re-walk restored
-   page tables, so no architectural state depends on it). *)
+(* [tlb] is off for forks, which adopt the image's TLB retagged to
+   their own VMID instead. *)
 let restore_core ?(tlb = true) (core : Core.t) cs =
   Array.blit cs.cs_regs 0 core.Core.regs 0 (Array.length cs.cs_regs);
   core.Core.pc <- cs.cs_pc;
@@ -142,6 +141,7 @@ type t = {
   z_pgt_free : int list;  (* Zone_tab free list, verbatim (LIFO) *)
   z_pgt_next : int;       (* Zone_tab high-water mark *)
   z_asids : Asid_alloc.state;
+  z_asid_pgt : Kmod.asid_index;
   z_terminated : string option;
   z_traps : int;
   z_syscall_traps : int;
@@ -153,6 +153,10 @@ type t = {
   z_shadow : Kmod.shadow_state;
   (* tracer position (ring contents are observability, not state) *)
   s_trace : (int * int) option;  (* total, points_seen *)
+  (* The source core's translations, frozen on the first fork (so
+     capture, restore and Replay never pay for them) and adopted by
+     every fork. *)
+  mutable s_xlat : Fastpath.image option;
 }
 
 let copy_vma (v : Vma.t) = { v with Vma.prot = v.Vma.prot }
@@ -180,6 +184,7 @@ let capture (z : Kmod.t) =
     z_pgt_free = Zone_tab.free_ids z.Kmod.pgts;
     z_pgt_next = Zone_tab.high_water z.Kmod.pgts;
     z_asids = Asid_alloc.capture z.Kmod.asids;
+    z_asid_pgt = Kmod.share_asid_index z.Kmod.asid_pgt;
     z_terminated = z.Kmod.terminated;
     z_traps = z.Kmod.traps;
     z_syscall_traps = z.Kmod.syscall_traps;
@@ -196,6 +201,7 @@ let capture (z : Kmod.t) =
       (match Core.tracer z.Kmod.core with
       | Some tr -> Some (Trace.total tr, Trace.points_seen tr)
       | None -> None);
+    s_xlat = None;
   }
 
 let restore (z : Kmod.t) s =
@@ -233,7 +239,7 @@ let restore (z : Kmod.t) s =
          s.z_pgts)
     ~free:s.z_pgt_free ~next:s.z_pgt_next;
   Asid_alloc.restore z.Kmod.asids s.z_asids;
-  Kmod.rebuild_asid_index z;
+  Kmod.restore_asid_index z s.z_asid_pgt;
   z.Kmod.ttbr1.Lz_table.table_frames <- s.z_ttbr1_frames;
   Fake_phys.restore z.Kmod.fake s.z_fake;
   Kmod.restore_shadow z s.z_shadow;
@@ -253,10 +259,10 @@ let fork (z : Kmod.t) s =
   | Kmod.Guest _ ->
       invalid_arg "Snapshot.fork: guest (Lowvisor-backed) zones cannot fork");
   let vmid = Api.alloc_fork_vmid () in
-  (* Memory: clone the view (shares every slot), then rewind the clone
-     to the image — both steps are O(frame map), no contents move. *)
-  let phys = Phys.cow_clone z.Kmod.machine.Machine.phys in
-  ignore (Phys.restore phys s.s_phys);
+  let src_phys = z.Kmod.machine.Machine.phys in
+  (* Memory: a new view at the image, sharing every slot — O(frame
+     map), no contents move. *)
+  let phys = Phys.of_snapshot src_phys s.s_phys in
   let tlb = Tlb.create ~capacity:(Tlb.capacity z.Kmod.machine.Machine.tlb) () in
   let machine =
     { Machine.phys; tlb; cost = z.Kmod.machine.Machine.cost }
@@ -275,13 +281,25 @@ let fork (z : Kmod.t) s =
   in
   restore_core ~tlb:false core s.s_core;
   Tlb.restore ~retag:(z.Kmod.vmid, vmid) tlb s.s_core.cs_tlb;
+  (* Translations are adopted the same way: the source core's decoded
+     words, branch bias and superblocks, frozen once per image. They
+     are keyed on the image's frame contents, so the fork re-decodes
+     exactly the frames that no longer hold them. *)
+  let xlat =
+    match s.s_xlat with
+    | Some x -> x
+    | None ->
+        let x = Fastpath.freeze z.Kmod.core.Core.fp src_phys s.s_phys in
+        s.s_xlat <- Some x;
+        x
+  in
+  Fastpath.adopt core.Core.fp xlat;
   (* The fork is its own VM: same stage-2 tree (same frame numbers in
      the cloned view), fresh VMID so its TLB/retention tags are its
      own. *)
   Sysreg.write core.Core.sys Sysreg.VTTBR_EL2
     (Mmu.ttbr_value ~root:z.Kmod.s2_root ~asid:vmid);
-  let fake = Fake_phys.clone z.Kmod.fake in
-  Fake_phys.restore fake s.z_fake;
+  let fake = Fake_phys.of_state s.z_fake in
   let proc =
     {
       Proc.pid = z.Kmod.proc.Proc.pid;
@@ -344,7 +362,7 @@ let fork (z : Kmod.t) s =
       ttbr1;
       pgts;
       asids;
-      asid_pgt = Array.make (Array.length z.Kmod.asid_pgt) 0;
+      asid_pgt = Kmod.share_asid_index s.z_asid_pgt;
       shadow = Kmod.install_shadow s.z_shadow;
       terminated = s.z_terminated;
       traps = s.z_traps;
@@ -355,19 +373,28 @@ let fork (z : Kmod.t) s =
       on_quiescent = None;
     }
   in
-  Kmod.rebuild_asid_index z2;
   Kmod.install_sync_hooks z2;
   z2
 
-(* Retire a fork: flush its VM's TLB context and return the VMID to
-   the fork pool. A fork owns a private machine (its own TLB), so the
-   flush is belt-and-braces; the pooled VMID is what a 4096-fork
-   connection-churn fleet needs — without it the 16-bit VMID space
-   marches to exhaustion. Only call on handles [fork] returned, and
-   only once, after the fork is done running. *)
+(* Retire a fork: flush its VM's TLB context, return the VMID to the
+   fork pool and give its memory back. A fork owns a private machine
+   (its own TLB), so the flush is belt-and-braces; the pooled VMID is
+   what a 4096-fork connection-churn fleet needs — without it the
+   16-bit VMID space marches to exhaustion — and disposing of the view
+   drops the store references its frame map holds, private copies and
+   shared image frames alike. The handle is dead afterwards: it runs
+   to [Terminated], its memory refuses writes, and a second retire
+   raises. Only call on handles [fork] returned, after the fork is
+   done running. *)
 let retire_fork (z : Kmod.t) =
+  let phys = z.Kmod.machine.Machine.phys in
+  if Phys.disposed phys then
+    invalid_arg "Snapshot.retire_fork: fork already retired";
   Tlb.flush_vmid z.Kmod.machine.Machine.tlb z.Kmod.vmid;
-  Api.release_vmid z.Kmod.vmid
+  Api.release_vmid z.Kmod.vmid;
+  Phys.dispose phys;
+  Core.set_fast z.Kmod.core false;
+  z.Kmod.terminated <- Some "fork retired"
 
 (* ------------------------------------------------------------------ *)
 (* Periodic snapshots + deterministic replay *)

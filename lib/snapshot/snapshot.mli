@@ -77,7 +77,16 @@ val fork : Lightzone.Kmod.t -> t -> Lightzone.Kmod.t
     retagged to the fork's VMID — LightZone's lazily-mapped global
     pages make the TLB semi-architectural, so a cold fork would
     re-fault and diverge), own kernel/process
-    records, own page-table registry and protection shadow. The
+    records, own page-table registry and protection shadow.
+
+    The fork also adopts the source core's translations: on the
+    snapshot's first fork, [z]'s decode and superblock caches are
+    frozen into a translation image ({!Lz_cpu.Fastpath.freeze}) kept
+    with the snapshot, and every fork seeds its cache from it
+    ({!Lz_cpu.Fastpath.adopt}). Only frames that still hold the
+    snapshot's bytes are served from the image, so adoption is
+    architecturally invisible: an adopting fork runs exactly like a
+    cold one, only faster. The
     [on_irq]/[on_quiescent]/[custom_trap]/[on_tick] hooks are not
     carried over (they close over the source machine); reattach on
     the fork if needed. Raises [Invalid_argument] for Lowvisor-backed
@@ -88,10 +97,14 @@ val fork : Lightzone.Kmod.t -> t -> Lightzone.Kmod.t
 
 val retire_fork : Lightzone.Kmod.t -> unit
 (** Return a finished fork's VMID to the pool (flushing its TLB
-    context first). Call once, on handles {!fork} returned, after
+    context first) and give back every memory slot its view holds
+    ({!Lz_mem.Phys.dispose}). Call on handles {!fork} returned, after
     also {!release}-ing any snapshots taken of the fork — this is
     what keeps a fork-per-connection fleet from exhausting the VMID
-    space. *)
+    space and from growing the frame store. The handle is dead
+    afterwards: {!Lightzone.Kmod.run} returns [Terminated], its
+    memory refuses writes, and retiring it again raises
+    [Invalid_argument]. *)
 
 (** {1 Periodic snapshots and deterministic replay} *)
 

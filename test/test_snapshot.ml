@@ -3,12 +3,19 @@
    exactness — the property that [snapshot → restore → run] is
    indistinguishable from an uninterrupted run in registers, memory,
    cycles, instructions and TLB statistics, with the superblock engine
-   on and off and with the snapshot taken mid-preemption-slice — and
-   the replay regression: [Replay.replay_to] re-executes from periodic
-   snapshots and reproduces the reference event ring byte-identically. *)
+   on and off and with the snapshot taken mid-preemption-slice — the
+   replay regression: [Replay.replay_to] re-executes from periodic
+   snapshots and reproduces the reference event ring byte-identically
+   — and forking: forks that adopt the image's translations run
+   exactly like cold forks, re-decode every frame whose bytes are not
+   the image's, keep the zone tables they share with the image private
+   once they change them, and give all their memory back when
+   retired. *)
 
+open Lz_arm
 open Lz_mem
 open Lz_cpu
+open Lz_kernel
 open Lightzone
 module Snapshot = Lz_snap.Snapshot
 module Trace = Lz_trace.Trace
@@ -21,6 +28,13 @@ let q = QCheck_alcotest.to_alcotest
 
 (* ------------------------------------------------------------------ *)
 (* Phys CoW unit tests *)
+
+(* A second view sharing every frame of [p] as it is now. *)
+let cow_clone p =
+  let s = Phys.snapshot p in
+  let c = Phys.of_snapshot p s in
+  Phys.release p s;
+  c
 
 let test_phys_snapshot_restore () =
   let p = Phys.create () in
@@ -48,7 +62,7 @@ let test_phys_cow_fork_isolation () =
   let p = Phys.create () in
   let f = Phys.alloc_frame p in
   Phys.write64 p f 0x1111;
-  let c = Phys.cow_clone p in
+  let c = cow_clone p in
   check_int "clone reads shared frame" 0x1111 (Phys.read64 c f);
   Phys.write64 c f 0x2222;
   check_int "clone sees its write" 0x2222 (Phys.read64 c f);
@@ -66,7 +80,7 @@ let test_phys_stats_shared_private () =
   let st = Phys.stats p in
   check_int "all private before clone" 0 st.Phys.shared;
   check_int "two resident" 2 st.Phys.resident;
-  let c = Phys.cow_clone p in
+  let c = cow_clone p in
   let st = Phys.stats p in
   check_int "all shared after clone" 2 st.Phys.shared;
   check_int "none private" 0 st.Phys.private_;
@@ -89,7 +103,7 @@ let test_phys_memo_invalidation () =
   check_int "frame reused" f f';
   Phys.write64 p f' 0x43;
   (* Memo must not let a clone's writable base leak through a share. *)
-  let c = Phys.cow_clone p in
+  let c = cow_clone p in
   check_int "clone warm" 0x43 (Phys.read64 c f');
   Phys.write64 p f' 0x44;
   check_int "clone still sees old value" 0x43 (Phys.read64 c f');
@@ -222,6 +236,243 @@ let test_fork_isolated_memory () =
   check_string "fork unaffected by source run" before (Sb.zone_digest f);
   Snapshot.release z image
 
+(* A snapshot, its source and the forks taken from it share the zone
+   allocator, the ASID index and the fake-address tables until one of
+   them changes its own: a change in one never shows in another. *)
+let test_fork_zone_tables_private () =
+  let r = Sb.prepare cm ~env:Sb.Host ~domains:4 ~n:50 in
+  let z = r.Sb.t in
+  let image = Snapshot.capture z in
+  let assigned0 = Fake_phys.assigned z.Kmod.fake in
+  let b = Snapshot.fork z image and c = Snapshot.fork z image in
+  (* Fork c runs its slice first, as the reference for b. *)
+  Sb.run_slice c;
+  let want = Sb.zone_digest c in
+  let a = Snapshot.fork z image in
+  let alloc f =
+    let id = Kmod.lz_alloc f in
+    (id, Kmod.pgt_ttbr f id)
+  in
+  (* Fork a allocates a zone (a new ASID, new frames and new fake
+     addresses, all its own) and frees one of the image's. *)
+  let ia = alloc a in
+  Kmod.lz_free a 1;
+  check_bool "a assigned fake addresses" true
+    (Fake_phys.assigned a.Kmod.fake > assigned0);
+  check_int "b's fake tables untouched" assigned0
+    (Fake_phys.assigned b.Kmod.fake);
+  check_int "source's fake tables untouched" assigned0
+    (Fake_phys.assigned z.Kmod.fake);
+  (* Fork b runs exactly like c... *)
+  Sb.run_slice b;
+  check_string "b runs like c" want (Sb.zone_digest b);
+  (* ...its fault path still resolves zone 1 (at 0x600000, Switch_bench's
+     first domain page) from the ASID in TTBR0... *)
+  Kmod.set_current_pgt b 1;
+  Kmod.prefault b ~va:0x600000 ~access:Mmu.Read;
+  check_bool "b resolves zone 1" true (b.Kmod.terminated = None);
+  (* ...and, starting from the same allocator state as a, gets the same
+     id, frames, fake root and ASID for its first new zone, as does the
+     source. *)
+  check_bool "b allocates what a did" true (alloc b = ia);
+  check_bool "source allocates what a did" true (alloc z = ia);
+  (* Restore rewinds the source's tables: the same allocation again. *)
+  ignore (Snapshot.restore z image);
+  check_int "restore rewinds fake tables" assigned0
+    (Fake_phys.assigned z.Kmod.fake);
+  check_bool "source allocates what a did after restore" true (alloc z = ia);
+  (* A fork of a fork sees its parent's own assignments. *)
+  let image_a = Snapshot.capture a in
+  let a2 = Snapshot.fork a image_a in
+  check_int "fork of a fork: fake tables" (Fake_phys.assigned a.Kmod.fake)
+    (Fake_phys.assigned a2.Kmod.fake);
+  check_int "fork of a fork: zone table" (snd ia)
+    (Kmod.pgt_ttbr a2 (fst ia));
+  Snapshot.release a image_a;
+  Snapshot.release z image
+
+(* ------------------------------------------------------------------ *)
+(* Adopted translations *)
+
+(* Architectural state after each of [slices] Table 5 slices. *)
+let slice_states (f : Kmod.t) ~slices =
+  List.init slices (fun _ ->
+      Sb.run_slice f;
+      let core = f.Kmod.core in
+      ( Sb.zone_digest f,
+        core.Core.cycles,
+        core.Core.insns,
+        Array.to_list core.Core.regs ))
+
+(* A fork that adopts the warm source's translations must run exactly
+   like a cold fork. The cold reference forks an image of the same
+   state captured after [Core.set_fast] dropped the source's cache. *)
+let adopted_matches_cold ~blocks () =
+  let r = Sb.prepare cm ~env:Sb.Host ~domains:16 ~n:200 in
+  let z = r.Sb.t in
+  Core.set_blocks z.Kmod.core blocks;
+  Sb.run_slice z;
+  let warm = Snapshot.capture z in
+  let adopted = Snapshot.fork z warm in
+  Core.set_fast z.Kmod.core false;
+  Core.set_fast z.Kmod.core true;
+  Core.set_blocks z.Kmod.core blocks;
+  let cold_image = Snapshot.capture z in
+  let cold = Snapshot.fork z cold_image in
+  let want = slice_states cold ~slices:3 in
+  let got = slice_states adopted ~slices:3 in
+  List.iteri
+    (fun i ((d, c, n, regs), (d', c', n', regs')) ->
+      let what = Printf.sprintf "slice %d " i in
+      check_string (what ^ "digest") d d';
+      check_int (what ^ "cycles") c c';
+      check_int (what ^ "insns") n n';
+      check_bool (what ^ "registers") true (regs = regs'))
+    (List.combine want got);
+  let a = Fastpath.stats adopted.Kmod.core.Core.fp
+  and c = Fastpath.stats cold.Kmod.core.Core.fp in
+  check_int "cold fork clones nothing" 0 c.Fastpath.blk_clones;
+  if blocks then begin
+    check_bool "adopted fork clones blocks" true (a.Fastpath.blk_clones > 0);
+    check_bool "adopted fork builds fewer blocks" true
+      (a.Fastpath.blk_builds < c.Fastpath.blk_builds)
+  end;
+  List.iter Snapshot.retire_fork [ adopted; cold ];
+  Snapshot.release z warm;
+  Snapshot.release z cold_image
+
+(* Switch_bench's first domain data page. *)
+let domain_va = 0x600000
+
+(* A tiny program in a scratch rwx mapping of the zone's process: it
+   loads [k] into x9 and exits through BRK. *)
+let scratch_va = 0x700000
+
+let map_scratch (z : Kmod.t) =
+  ignore
+    (Kernel.map_anon z.Kmod.kernel z.Kmod.proc ~at:scratch_va ~len:0x4000
+       Vma.rwx)
+
+let install (z : Kmod.t) k =
+  let words = [ Insn.Movz (9, k, 0); Insn.Brk 0 ] in
+  let b = Bytes.create (4 * List.length words) in
+  List.iteri
+    (fun i w -> Bytes.set_int32_le b (4 * i) (Int32.of_int (Encoding.encode w)))
+    words;
+  Kernel.write_user z.Kmod.kernel z.Kmod.proc ~va:scratch_va b
+
+(* Run the scratch program from its start; x9 afterwards. *)
+let run_scratch (z : Kmod.t) =
+  let core = z.Kmod.core in
+  core.Core.pc <- scratch_va;
+  Core.set_reg core 9 0;
+  (match Kmod.run ~max_insns:10_000 z with
+  | Kmod.Exited _ -> ()
+  | o -> Alcotest.failf "scratch run: %a" Kmod.pp_outcome o);
+  Core.eret_from_el2 core;
+  z.Kmod.proc.Proc.exit_code <- None;
+  Core.reg core 9
+
+(* A warm source whose scratch page holds the program for [k] and has
+   run it, so its caches hold that page: blocks and decoded words, or
+   decoded words only. *)
+let scratch_source ~blocks k =
+  let r = Sb.prepare cm ~env:Sb.Host ~domains:2 ~n:20 in
+  let z = r.Sb.t in
+  Core.set_blocks z.Kmod.core blocks;
+  map_scratch z;
+  install z k;
+  check_int "source runs its program" k (run_scratch z);
+  z
+
+(* The source patches and runs its code after capture, then forks:
+   the image must not carry the patched decode, which the source's
+   caches hold at a current generation. *)
+let test_fork_after_source_patch ~blocks () =
+  let z = scratch_source ~blocks 1 in
+  let image = Snapshot.capture z in
+  install z 2;
+  check_int "source runs the patch" 2 (run_scratch z);
+  let f = Snapshot.fork z image in
+  check_int "fork runs the image's bytes" 1 (run_scratch f);
+  Snapshot.retire_fork f;
+  Snapshot.release z image
+
+(* Sibling forks share one image: a patch on fork A must stay A's. *)
+let test_sibling_patch_isolated ~blocks () =
+  let z = scratch_source ~blocks 1 in
+  let image = Snapshot.capture z in
+  let a = Snapshot.fork z image in
+  check_int "fork A runs the image" 1 (run_scratch a);
+  if blocks then
+    check_bool "fork A adopted the page" true
+      ((Fastpath.stats a.Kmod.core.Core.fp).Fastpath.blk_clones > 0);
+  install a 2;
+  check_int "fork A runs its patch" 2 (run_scratch a);
+  let b = Snapshot.fork z image in
+  check_int "fork B runs the original" 1 (run_scratch b);
+  List.iter Snapshot.retire_fork [ a; b ];
+  Snapshot.release z image
+
+(* Freeing a code frame and getting the same frame number back gives
+   it new bytes in a new slot: the fork must decode them. *)
+let test_fork_reallocated_frame ~blocks () =
+  let z = scratch_source ~blocks 1 in
+  let image = Snapshot.capture z in
+  let f = Snapshot.fork z image in
+  check_int "fork runs the image" 1 (run_scratch f);
+  let phys = f.Kmod.machine.Machine.phys in
+  let pa =
+    match Stage1.walk phys ~root:f.Kmod.proc.Proc.root ~va:scratch_va with
+    | Ok w -> Bits.align_down w.Stage1.pa Phys.page_size
+    | Error _ -> Alcotest.fail "scratch page unmapped"
+  in
+  Phys.free_frame phys pa;
+  check_int "same frame back" pa (Phys.alloc_frame phys);
+  Phys.write32 phys pa (Encoding.encode (Insn.Movz (9, 3, 0)));
+  Phys.write32 phys (pa + 4) (Encoding.encode (Insn.Brk 0));
+  check_int "fork runs the new bytes" 3 (run_scratch f);
+  Snapshot.retire_fork f;
+  Snapshot.release z image
+
+(* Retiring a fork gives back every slot it holds: a fork-per-request
+   fleet keeps the store flat. The handle is dead afterwards. *)
+let test_retire_keeps_store_flat () =
+  let r = Sb.prepare cm ~env:Sb.Host ~domains:4 ~n:20 in
+  let z = r.Sb.t in
+  let image = Snapshot.capture z in
+  let phys = z.Kmod.machine.Machine.phys in
+  let slots () = (Phys.stats phys).Phys.store_slots in
+  (* Each round also writes a domain page, so the fork holds a private
+     slot of its own when it is retired. *)
+  let held = ref 0 in
+  let round () =
+    let f = Snapshot.fork z image in
+    Sb.run_slice f;
+    Kernel.write_user f.Kmod.kernel f.Kmod.proc ~va:domain_va
+      (Bytes.make 8 '\x5a');
+    held := slots ();
+    Snapshot.retire_fork f;
+    f
+  in
+  let base = slots () in
+  for _ = 1 to 499 do
+    ignore (round ())
+  done;
+  let f = round () in
+  check_bool "the fork held private slots" true (!held > base);
+  check_int "store slots after 500 rounds" base (slots ());
+  check_bool "retired fork view disposed" true
+    (Phys.disposed f.Kmod.machine.Machine.phys);
+  check_bool "retired fork does not run" true
+    (match Kmod.run ~max_insns:100 f with
+    | Kmod.Terminated _ -> true
+    | _ -> false);
+  Alcotest.check_raises "second retire"
+    (Invalid_argument "Snapshot.retire_fork: fork already retired")
+    (fun () -> Snapshot.retire_fork f);
+  Snapshot.release z image
+
 (* ------------------------------------------------------------------ *)
 (* Replay *)
 
@@ -291,8 +542,28 @@ let suite =
     ( "fork",
       [
         Alcotest.test_case "digest identity" `Quick test_fork_digest_identity;
+        Alcotest.test_case "zone tables private" `Quick
+          test_fork_zone_tables_private;
         Alcotest.test_case "memory isolation" `Quick
           test_fork_isolated_memory;
+        Alcotest.test_case "adopted = cold (blocks)" `Quick
+          (adopted_matches_cold ~blocks:true);
+        Alcotest.test_case "adopted = cold (no blocks)" `Quick
+          (adopted_matches_cold ~blocks:false);
+        Alcotest.test_case "source patch after capture (blocks)" `Quick
+          (test_fork_after_source_patch ~blocks:true);
+        Alcotest.test_case "source patch after capture (no blocks)" `Quick
+          (test_fork_after_source_patch ~blocks:false);
+        Alcotest.test_case "sibling patch isolated (blocks)" `Quick
+          (test_sibling_patch_isolated ~blocks:true);
+        Alcotest.test_case "sibling patch isolated (no blocks)" `Quick
+          (test_sibling_patch_isolated ~blocks:false);
+        Alcotest.test_case "reallocated code frame (blocks)" `Quick
+          (test_fork_reallocated_frame ~blocks:true);
+        Alcotest.test_case "reallocated code frame (no blocks)" `Quick
+          (test_fork_reallocated_frame ~blocks:false);
+        Alcotest.test_case "retire keeps store flat" `Quick
+          test_retire_keeps_store_flat;
       ] );
     ("replay", [ Alcotest.test_case "byte-identical" `Quick
                    test_replay_byte_identical ]);
