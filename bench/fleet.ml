@@ -3,189 +3,136 @@
    Builds the Table 5 TTBR-mechanism machine (128 gate-attached
    domains), runs one switch slice end-to-end so demand paging,
    sanitizer scans and the TLB are all warm, snapshots it, then forks
-   instances off the image:
+   instances off the image in [Benchkit.reps] batches. Each batch sits
+   beside one cold setup of the same machine, timed on process CPU
+   time, so the cold-start comparison is a same-process ratio.
 
-   - fork latency (host wall-clock per fork, O(frame map) — no frame
-     contents move);
-   - architectural exactness (every fork's digest must equal the
-     source's, before and after running a churn slice);
-   - CoW economics (dirty pages per instance after a slice; store
-     slots vs logical frames);
-   - aggregate simulated MIPS as the instance count grows;
-   - the cold-start comparison: forking must beat building the same
-     machine from scratch by >= 10x per instance (measured on a few
-     cold setups and extrapolated, since 1024 real cold setups would
-     take minutes by construction).
+   Reported: fork cost, cold setup cost, their ratio, and aggregate
+   simulated MIPS as churned instances run one slice each.
 
-   Emits BENCH_fleet.json. `--smoke` runs a reduced fleet (64 forks)
-   and asserts digest identity — the CI gate. The full run (default,
-   1024 forks) additionally enforces the 10x cold-start gate and
-   exits 1 if it fails. *)
+   Gates: every fork's digest equals the source's, before and after
+   running the slice the source ran; forking is >= 10x cheaper than a
+   cold setup (median of the batches); CoW economics (dirty pages per
+   churned instance, store slots against logical frames) and the
+   churned insns equal the baseline's. `--smoke` runs 64 forks instead
+   of 1024. *)
 
 module Sb = Lz_eval.Switch_bench
 module Snapshot = Lz_snap.Snapshot
 module Phys = Lz_mem.Phys
+module Json = Benchkit.Json
 open Lightzone
 
 let domains = 128
 
-let now () = Unix.gettimeofday ()
-
-let mean l = List.fold_left ( +. ) 0. l /. float_of_int (max 1 (List.length l))
-
 let () =
-  let smoke = Array.to_list Sys.argv |> List.exists (( = ) "--smoke") in
-  let instances = if smoke then 64 else 1024 in
-  let slice_n = if smoke then 300 else 1000 in
+  let kit = Benchkit.init "fleet" in
+  let instances = if kit.smoke then 64 else 1024 in
+  let slice_n = if kit.smoke then 300 else 1000 in
   (* Batch sizes for the MIPS curve; batches are disjoint, so the
      total churned is their sum. *)
-  let counts = if smoke then [ 1; 4; 16 ] else [ 1; 4; 16; 64; 256 ] in
-  let cold_samples = if smoke then 1 else 4 in
+  let counts = if kit.smoke then [ 1; 4; 16 ] else [ 1; 4; 16; 64; 256 ] in
   let cm = Lz_cpu.Cost_model.cortex_a55 in
+  let prepare () = Sb.prepare cm ~env:Sb.Host ~domains ~n:slice_n in
 
   (* Warm image. *)
-  let t0 = now () in
-  let r = Sb.prepare cm ~env:Sb.Host ~domains ~n:slice_n in
-  let warm_seconds = now () -. t0 in
-  let z = r.Sb.t in
+  let r = ref None in
+  let warm_s = Benchkit.cpu_time (fun () -> r := Some (prepare ())) in
+  let z = (Option.get !r).Sb.t in
   let image = Snapshot.capture z in
   let image_digest = Sb.zone_digest z in
-  Printf.printf "fleet: warm %d-domain image built in %.2fs (digest %s)\n%!"
-    domains warm_seconds image_digest;
+  Benchkit.say kit "warm %d-domain image built in %.3fs (digest %s)" domains
+    warm_s image_digest;
 
-  (* Cold-start reference: building the same machine from scratch. *)
-  let cold_times =
-    List.init cold_samples (fun _ ->
-        let c0 = now () in
-        ignore (Sb.prepare cm ~env:Sb.Host ~domains ~n:slice_n);
-        now () -. c0)
+  (* Fork the fleet, one batch per repetition beside a cold setup. *)
+  let reps =
+    Array.init Benchkit.reps (fun i ->
+        let upto i = instances * i / Benchkit.reps in
+        let n = upto (i + 1) - upto i in
+        let cold = Benchkit.cpu_time (fun () -> ignore (prepare ())) in
+        let batch = ref [||] in
+        let s =
+          Benchkit.cpu_time (fun () ->
+              batch := Array.init n (fun _ -> Snapshot.fork z image))
+        in
+        (cold, s /. float_of_int n, !batch))
   in
-  let cold_mean = mean cold_times in
-
-  (* Fork the fleet. *)
-  let f0 = now () in
+  let cold_s = Array.map (fun (c, _, _) -> c) reps in
+  let fork_s = Array.map (fun (_, f, _) -> f) reps in
+  let speedup = Array.map2 ( /. ) cold_s fork_s in
   let forks =
-    Array.init instances (fun _ -> Snapshot.fork z image)
+    Array.concat (Array.to_list (Array.map (fun (_, _, b) -> b) reps))
   in
-  let fork_total = now () -. f0 in
-  let fork_mean_us = fork_total /. float_of_int instances *. 1e6 in
-  Printf.printf "fleet: forked %d instances in %.3fs (%.0f us/fork)\n%!"
-    instances fork_total fork_mean_us;
+  Benchkit.say kit
+    "forked %d instances: %.0f us/fork, cold setup %.1f ms (%.1fx)" instances
+    (1e6 *. Benchkit.median fork_s) (1e3 *. Benchkit.median cold_s)
+    (Benchkit.median speedup);
+  let differing digest forks =
+    Array.fold_left
+      (fun n f -> if Sb.zone_digest f <> digest then n + 1 else n)
+      0 forks
+  in
+  let fresh_mismatch = differing image_digest forks in
 
-  (* Every fork must be architecturally identical to the image. *)
-  Array.iter
-    (fun f ->
-      if Sb.zone_digest f <> image_digest then begin
-        prerr_endline "fleet: FORK DIGEST MISMATCH against the warm image";
-        exit 1
-      end)
-    forks;
-
-  (* Churn slices: run the switch workload on [churn] instances,
-     tracking dirty pages and aggregate simulated MIPS at increasing
-     instance counts. The source runs one slice too, as the reference
-     end state every churned fork must reach. *)
+  (* Churn slices: run the switch workload on disjoint batches of
+     forks, so every churned fork runs exactly one slice, as the
+     source does. *)
   Sb.run_slice z;
   let ref_digest = Sb.zone_digest z in
-  (* Disjoint batches, so every churned fork runs exactly one slice
-     (matching the source) and each MIPS row measures fresh forks. *)
   assert (List.fold_left ( + ) 0 counts <= instances);
   let offset = ref 0 in
-  let mips_rows =
+  let churn =
     List.map
       (fun k ->
         let batch = Array.sub forks !offset k in
         offset := !offset + k;
-        let insns0 =
-          Array.fold_left
-            (fun acc f -> acc + f.Kmod.core.Lz_cpu.Core.insns)
-            0 batch
+        let insns f = f.Kmod.core.Lz_cpu.Core.insns in
+        let runs =
+          Array.map
+            (fun f ->
+              let i0 = insns f in
+              let s = Benchkit.cpu_time (fun () -> Sb.run_slice f) in
+              (insns f - i0, s))
+            batch
         in
-        let s0 = now () in
-        Array.iter Sb.run_slice batch;
-        let seconds = now () -. s0 in
-        let insns =
-          Array.fold_left
-            (fun acc f -> acc + f.Kmod.core.Lz_cpu.Core.insns)
-            0 batch
-          - insns0
-        in
-        let mips = float_of_int insns /. seconds /. 1e6 in
-        Printf.printf "fleet: %4d instances churned: %d insns, %.3fs, %.1f MIPS\n%!"
-          k insns seconds mips;
-        (k, insns, seconds, mips))
+        let total = Array.fold_left (fun a (i, _) -> a + i) 0 runs in
+        let mips = Array.map (fun (i, s) -> float_of_int i /. s /. 1e6) runs in
+        Benchkit.say kit "%4d instances churned: %d insns, %.1f MIPS" k total
+          (Benchkit.median mips);
+        (string_of_int k, total, mips))
       counts
   in
-  (* Each churned slice runs the same program from the same state:
-     every fork that ran must land exactly where the source landed. *)
-  let churned = !offset in
-  Array.iteri
-    (fun i f ->
-      if i < churned && Sb.zone_digest f <> ref_digest then begin
-        prerr_endline "fleet: POST-SLICE DIGEST MISMATCH against the source";
-        exit 1
-      end)
-    forks;
-  Printf.printf "fleet: all %d forks digest-identical (%d churned)\n%!"
-    instances churned;
-
-  let dirty =
-    List.init churned (fun i -> Snapshot.dirty_pages forks.(i) image)
-  in
-  let dirty_mean = mean (List.map float_of_int dirty) in
-  let dirty_max = List.fold_left max 0 dirty in
+  let churned = Array.sub forks 0 !offset in
+  let slice_mismatch = differing ref_digest churned in
+  let dirty = Array.map (fun f -> Snapshot.dirty_pages f image) churned in
   let st = Phys.stats z.Kmod.machine.Lz_kernel.Machine.phys in
-  Printf.printf
-    "fleet: dirty pages/instance mean %.1f max %d; store %d slots for %d \
-     logical frames x %d views\n%!"
-    dirty_mean dirty_max st.Phys.store_slots st.Phys.allocated (instances + 1);
-
-  let cold_total = cold_mean *. float_of_int instances in
-  let speedup = cold_total /. fork_total in
-  Printf.printf
-    "fleet: fork %.3fs vs cold %.2fs extrapolated (%.1fx cheaper)\n%!"
-    fork_total cold_total speedup;
-
-  let json =
-    Printf.sprintf
-      {|{
-  "bench": "fleet",
-  "smoke": %b,
-  "domains": %d,
-  "slice_switches": %d,
-  "instances": %d,
-  "warm_image_seconds": %.4f,
-  "fork": { "total_seconds": %.6f, "mean_us": %.2f },
-  "cold": { "samples": %d, "mean_seconds": %.4f,
-    "extrapolated_total_seconds": %.2f },
-  "speedup_vs_cold": %.2f,
-  "digests_identical": true,
-  "churned_instances": %d,
-  "dirty_pages": { "mean": %.1f, "max": %d },
-  "store": { "slots": %d, "logical_frames": %d, "unshares": %d },
-  "mips": [
-%s
-  ]
-}
-|}
-      smoke domains slice_n instances warm_seconds fork_total fork_mean_us
-      cold_samples cold_mean cold_total speedup churned dirty_mean dirty_max
-      st.Phys.store_slots st.Phys.allocated st.Phys.unshares
-      (String.concat ",\n"
-         (List.map
-            (fun (k, insns, seconds, mips) ->
-              Printf.sprintf
-                {|    { "instances": %d, "insns": %d, "seconds": %.4f, "mips": %.1f }|}
-                k insns seconds mips)
-            mips_rows))
-  in
-  let out = open_out "BENCH_fleet.json" in
-  output_string out json;
-  close_out out;
-  Printf.printf "wrote BENCH_fleet.json\n%!";
-  if (not smoke) && speedup < 10. then begin
-    Printf.eprintf
-      "fleet: FAIL — forking is only %.1fx cheaper than cold setup (< 10x)\n"
-      speedup;
-    exit 1
-  end
+  Benchkit.say kit
+    "dirty pages/instance max %d; store %d slots for %d logical frames x %d \
+     views"
+    (Array.fold_left max 0 dirty) st.Phys.store_slots st.Phys.allocated
+    (instances + 1);
+  Benchkit.finish kit
+    [ ("domains", Int domains); ("slice_switches", Int slice_n);
+      ("instances", Int instances);
+      ("counts",
+       Obj
+         [ ("churned", Int (Array.length churned));
+           ("churned_insns",
+            Obj (List.map (fun (k, i, _) -> (k, Json.Int i)) churn));
+           ("dirty_pages_sum", Int (Array.fold_left ( + ) 0 dirty));
+           ("dirty_pages_max", Int (Array.fold_left max 0 dirty));
+           ("store_slots", Int st.Phys.store_slots);
+           ("logical_frames", Int st.Phys.allocated);
+           ("unshares", Int st.Phys.unshares) ]);
+      ("warm_image_s", Benchkit.stats [| warm_s |]);
+      ("cold_setup_s", Benchkit.stats cold_s);
+      ("fork_us", Benchkit.stats (Array.map (( *. ) 1e6) fork_s));
+      ("speedup_vs_cold", Benchkit.stats speedup);
+      ("mips", Obj (List.map (fun (k, _, m) -> (k, Benchkit.stats m)) churn)) ]
+    [ Benchkit.at_most "forks whose digest differs from the image"
+        (float_of_int fresh_mismatch) 0.;
+      Benchkit.at_most "churned forks whose digest differs from the source"
+        (float_of_int slice_mismatch) 0.;
+      Benchkit.at_least "median fork-vs-cold speedup" (Benchkit.median speedup)
+        10.;
+      Same "counts" ]

@@ -280,16 +280,15 @@ let trace () =
           /. float_of_int (max 1 hot_slow))
           slow.Lz_eval.Switch_bench.total_cycles
           fast.Lz_eval.Switch_bench.total_cycles;
-        [ Printf.sprintf "  %S: %s" label
-            (Lz_trace.Span.report_to_json slow.Lz_eval.Switch_bench.report);
-          Printf.sprintf "  %S: %s" (label ^ " (fast paths)")
-            (Lz_trace.Span.report_to_json fast.Lz_eval.Switch_bench.report)
-        ])
+        let json (r : Lz_eval.Switch_bench.traced) =
+          Benchkit.Json.of_string
+            (Lz_trace.Span.report_to_json r.Lz_eval.Switch_bench.report)
+        in
+        [ (label, json slow); (label ^ " (fast paths)", json fast) ])
       cases
   in
-  let oc = open_out "BENCH_table5_trace.json" in
-  Printf.fprintf oc "{\n%s\n}\n" (String.concat ",\n" entries);
-  close_out oc;
+  Out_channel.with_open_bin "BENCH_table5_trace.json" (fun oc ->
+      output_string oc (Benchkit.Json.to_string (Obj entries)));
   Format.printf "@.wrote BENCH_table5_trace.json@."
 
 (* ------------------------------------------------------------------ *)

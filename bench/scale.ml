@@ -10,30 +10,22 @@
    space, recycled ASIDs under generation rollover — the paths this
    benchmark exists to keep honest at 4096+ resident zones.
 
-   Sweeps K over 128 / 512 / 2048 / 4096 (smoke: 32 / 128 / 256 with
-   a 9-bit ASID space so rollover still fires) and reports, per K:
-   simulated MIPS over the whole churn (host-side alloc/free included
-   — that is what connection churn costs), gate cost in simulated
-   cycles per switch, and the allocator's rollover/recycle counters.
-   The churn length is sized so every K crosses the ASID space at
-   least once: connections = space - K + slack.
+   Sweeps K over 128 / 512 / 2048 / 4096 (smoke: 32 / 128 / 512 with
+   a 10-bit ASID space so rollover still fires, and the top K is 16x
+   the bottom so a per-switch cost that grows with K shows). The churn
+   length is sized so every K crosses the ASID space at least once:
+   connections = space - K + slack. Each K's churn is cut into
+   repetitions that alternate between the machines, timed on process
+   CPU time (host-side alloc/free included: that is what connection
+   churn costs).
 
-   Gates enforced on every run:
-   - recycle count > 0 at the top K (the bench is pointless without
-     recycling actually exercised);
-   - per-switch cycle cost stays flat-to-logarithmic in K:
-     cycles/switch at the top K must be <= 1.7x the bottom K;
-   - zero allocation on the steady-state switch path: two slices of
-     the same warm zone differing only in switch count must show a
-     marginal Gc minor-words cost of ~0 words per switch (per-insn
-     fast engine, where the engine itself is allocation-free).
-
-   `--check [FILE]` additionally reads the committed BENCH_scale.json
-   before overwriting it and exits 1 if MIPS at the top K regressed
-   more than 20% (LZ_BENCH_TOLERANCE overrides). Baselines from a
-   different mode (smoke vs full) are skipped — not comparable.
-
-   Emits BENCH_scale.json. `--smoke` is the CI variant. *)
+   Gates: each K's simulated insns, cycles per switch and allocator
+   counters equal the baseline's; recycling and rollover fire at the
+   top K; cycles per switch at the top K stay within 1.7x the bottom
+   K's; the pgt id space stays dense; the per-insn switch path
+   allocates nothing and the block engine's no more than the
+   baseline's; the median top-K / bottom-K MIPS ratio stays within the
+   band of the baseline's. MIPS itself is reported, not gated. *)
 
 module Core = Lz_cpu.Core
 open Lz_kernel
@@ -42,8 +34,6 @@ open Lightzone
 let code_va = 0x400000
 let serve_va = 0x600000
 let stack_va = 0x7F0000000000
-
-let now () = Unix.gettimeofday ()
 
 (* Serve loop: x21 = iteration countdown (set by the host before each
    slice). Each iteration switches through gate 1 into the
@@ -117,62 +107,18 @@ let serve_connection t ~first_id ~iters =
   Api.lz_free t id;
   id
 
-type row = {
-  zones : int;
-  connections : int;
-  switches : int;
-  insns : int;
-  seconds : float;
-  mips : float;
-  cycles_per_switch : float;
-  rollovers : int;
-  recycled : int;
-  pgt_high_water : int;
-}
-
-let churn_row ~zones ~asid_bits ~connections ~iters cm =
-  let t = build ~zones ~asid_bits cm in
-  let core = t.Kmod.core in
-  Core.set_fast core true;
-  Core.set_blocks core true;
-  (* Warm one connection outside the timed window: demand paging of
-     the image, gate registration and the sanitizer scan are setup
-     cost, not churn cost. *)
-  let first_id = serve_connection t ~first_id:(-1) ~iters in
-  let i0 = core.Core.insns and c0 = core.Core.cycles in
-  let t0 = now () in
-  for _ = 1 to connections do
-    ignore (serve_connection t ~first_id ~iters)
-  done;
-  let seconds = now () -. t0 in
-  let insns = core.Core.insns - i0 in
-  let cycles = core.Core.cycles - c0 in
-  let switches = 2 * iters * connections in
-  {
-    zones;
-    connections;
-    switches;
-    insns;
-    seconds;
-    mips = float_of_int insns /. seconds /. 1e6;
-    cycles_per_switch = float_of_int cycles /. float_of_int switches;
-    rollovers = Asid_alloc.rollovers t.Kmod.asids;
-    recycled = Asid_alloc.recycled t.Kmod.asids;
-    pgt_high_water = Zone_tab.high_water t.Kmod.pgts;
-  }
-
-(* Zero-allocation gate: on a warm zone (no churn — the connection
-   stays allocated), two slices that differ only in switch count must
-   cost the same Gc minor words up to a constant. Run on the per-insn
-   fast engine: the superblock engine's trace-tree training is
-   deliberately excluded (block objects are a one-time translation
-   cost, not steady-state), and the slow path is not the shipped
-   configuration. *)
-let zero_alloc_marginal ~asid_bits cm =
+(* Minor words per switch on a warm zone (no churn — the connection
+   stays allocated): the difference between two slices that differ
+   only in switch count, so set-up cost cancels. The per-insn fast
+   engine allocates nothing here. The block engine allocates on every
+   block entry, not only when it forms a block: exec_block's closures
+   and refs, the [Ok pa] box, the (block, bool) tuple, the Cblk/Csx
+   boxes and the [Some] chain memos, ~35 words per entry. *)
+let alloc_per_switch ~blocks ~asid_bits cm =
   let t = build ~zones:16 ~asid_bits cm in
   let core = t.Kmod.core in
   Core.set_fast core true;
-  Core.set_blocks core false;
+  Core.set_blocks core blocks;
   let id = Api.lz_alloc t in
   Api.lz_map_gate_pgt t ~pgt:id ~gate:1;
   Api.lz_prot t ~addr:serve_va ~len:4096 ~pgt:id
@@ -189,211 +135,118 @@ let zero_alloc_marginal ~asid_bits cm =
   let w2 = measure n2 in
   (w2 -. w1) /. float_of_int (2 * (n2 - n1))
 
-(* ------------------------------------------------------------------ *)
-(* Baseline parsing (same string-scan approach as bench/throughput) *)
 
-let str_index s sub ~from =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  if m = 0 then None else go (max 0 from)
+module Json = Benchkit.Json
 
-let number_after s ~from =
-  let n = String.length s in
-  let i = ref from in
-  while
-    !i < n
-    && not (match s.[!i] with '0' .. '9' | '-' | '.' -> true | _ -> false)
-  do
-    incr i
-  done;
-  let j = ref !i in
-  while
-    !j < n
-    && (match s.[!j] with '0' .. '9' | '-' | '.' | 'e' | '+' -> true
-        | _ -> false)
-  do
-    incr j
-  done;
-  if !j > !i then float_of_string_opt (String.sub s !i (!j - !i)) else None
-
-let baseline_top_mips json ~zones =
-  match str_index json (Printf.sprintf "\"zones\": %d" zones) ~from:0 with
-  | None -> None
-  | Some at -> (
-      match str_index json "\"mips\":" ~from:at with
-      | None -> None
-      | Some at -> number_after json ~from:at)
-
-let baseline_mode json =
-  match str_index json "\"mode\":" ~from:0 with
-  | None -> None
-  | Some at -> (
-      match str_index json "\"" ~from:(at + 7) with
-      | None -> None
-      | Some q -> (
-          match str_index json "\"" ~from:(q + 1) with
-          | None -> None
-          | Some q2 -> Some (String.sub json (q + 1) (q2 - q - 1))))
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* ------------------------------------------------------------------ *)
+(* A machine with [zones] residents and its churn, served in
+   [Benchkit.reps] chunks. *)
+type row = {
+  zones : int;
+  connections : int;
+  t : Kmod.t;
+  first_id : int;
+  i0 : int;
+  c0 : int;
+  mips : float array;  (** per chunk *)
+}
 
 let () =
-  let argv = Array.to_list Sys.argv in
-  let smoke = List.mem "--smoke" argv in
-  let check =
-    let rec find = function
-      | "--check" :: path :: _ when String.length path > 0 && path.[0] <> '-'
-        -> Some path
-      | "--check" :: _ -> Some "BENCH_scale.json"
-      | _ :: tl -> find tl
-      | [] -> None
-    in
-    find argv
-  in
-  let mode = if smoke then "smoke" else "full" in
+  let kit = Benchkit.init "scale" in
   (* The ASID space is sized to be crossed: big enough to park the
      largest K live, small enough that the churn reaches rollover at
      every K. *)
-  let asid_bits = if smoke then 9 else 13 in
+  let asid_bits = if kit.smoke then 10 else 13 in
   let space = (1 lsl asid_bits) - 1 in
-  let sweep = if smoke then [ 32; 128; 256 ] else [ 128; 512; 2048; 4096 ] in
-  let slack = if smoke then 64 else 512 in
+  let sweep =
+    if kit.smoke then [ 32; 128; 512 ] else [ 128; 512; 2048; 4096 ]
+  in
+  let slack = if kit.smoke then 64 else 512 in
   let iters = 8 in
   let cm = Lz_cpu.Cost_model.cortex_a55 in
-  let baseline =
-    match check with
-    | Some path when Sys.file_exists path -> Some (path, read_file path)
-    | Some path ->
-        Printf.printf "scale: no baseline %s yet, writing one\n%!" path;
-        None
-    | None -> None
-  in
   let rows =
     List.map
       (fun zones ->
-        (* +2 live ASIDs beyond the residents: the default table and
-           the in-flight connection. *)
-        let connections = space - zones + slack in
-        let r = churn_row ~zones ~asid_bits ~connections ~iters cm in
-        Printf.printf
-          "scale: %4d zones   %5d conns   %7d switches   %6.2f MIPS   \
-           %6.1f cyc/switch   %d rollovers   %d recycled   hw %d\n%!"
-          r.zones r.connections r.switches r.mips r.cycles_per_switch
-          r.rollovers r.recycled r.pgt_high_water;
-        r)
+        let t = build ~zones ~asid_bits cm in
+        Core.set_fast t.Kmod.core true;
+        Core.set_blocks t.Kmod.core true;
+        (* Warm one connection outside the timed window: demand paging
+           of the image, gate registration and the sanitizer scan are
+           setup cost, not churn cost. *)
+        let first_id = serve_connection t ~first_id:(-1) ~iters in
+        { zones; connections = space - zones + slack; t; first_id;
+          i0 = t.Kmod.core.Core.insns; c0 = t.Kmod.core.Core.cycles;
+          mips = Array.make Benchkit.reps 0. })
       sweep
   in
-  let marginal = zero_alloc_marginal ~asid_bits cm in
-  Printf.printf "scale: steady-state switch path: %.4f minor words/switch\n%!"
-    marginal;
-  let json =
-    let item r =
-      Printf.sprintf
-        {|    { "zones": %d, "connections": %d, "switches": %d,
-      "insns": %d, "seconds": %.6f, "mips": %.3f,
-      "cycles_per_switch": %.2f, "rollovers": %d, "recycled": %d,
-      "pgt_high_water": %d }|}
-        r.zones r.connections r.switches r.insns r.seconds r.mips
-        r.cycles_per_switch r.rollovers r.recycled r.pgt_high_water
-    in
-    Printf.sprintf
-      "{\n  \"bench\": \"scale\",\n  \"mode\": %S,\n  \"asid_bits\": %d,\n  \
-       \"serve_iters\": %d,\n  \"zero_alloc_marginal_words_per_switch\": \
-       %.4f,\n  \"rows\": [\n%s\n  ]\n}\n"
-      mode asid_bits iters marginal
-      (String.concat ",\n" (List.map item rows))
+  for r = 0 to Benchkit.reps - 1 do
+    List.iter
+      (fun row ->
+        let chunk k = row.connections * k / Benchkit.reps in
+        let core = row.t.Kmod.core in
+        let i = core.Core.insns in
+        let s =
+          Benchkit.cpu_time (fun () ->
+              for _ = chunk r + 1 to chunk (r + 1) do
+                ignore (serve_connection row.t ~first_id:row.first_id ~iters)
+              done)
+        in
+        row.mips.(r) <- float_of_int (core.Core.insns - i) /. s /. 1e6)
+      rows
+  done;
+  let switches row = 2 * iters * row.connections in
+  let cycles_per_switch row =
+    float_of_int (row.t.Kmod.core.Core.cycles - row.c0)
+    /. float_of_int (switches row)
   in
-  let out = open_out "BENCH_scale.json" in
-  output_string out json;
-  close_out out;
-  Printf.printf "wrote BENCH_scale.json\n%!";
-  (* Unconditional gates. *)
-  let failures = ref [] in
-  let top = List.nth rows (List.length rows - 1) in
-  let bottom = List.hd rows in
-  if top.recycled <= 0 then
-    failures :=
-      Printf.sprintf "no ASID recycling at %d zones (recycled = %d)"
-        top.zones top.recycled
-      :: !failures;
-  if top.rollovers <= 0 then
-    failures :=
-      Printf.sprintf "no generation rollover at %d zones" top.zones
-      :: !failures;
-  if top.cycles_per_switch > 1.7 *. bottom.cycles_per_switch then
-    failures :=
-      Printf.sprintf
-        "per-switch cost not flat: %.1f cyc at %d zones vs %.1f at %d \
-         (>1.7x)"
-        top.cycles_per_switch top.zones bottom.cycles_per_switch bottom.zones
-      :: !failures;
-  (* The connection's table recycles one id: the id space must not
-     creep past residents + default + 1. *)
-  if top.pgt_high_water > top.zones + 2 then
-    failures :=
-      Printf.sprintf "pgt id space leaked: high water %d for %d zones"
-        top.pgt_high_water top.zones
-      :: !failures;
-  if marginal > 0.01 then
-    failures :=
-      Printf.sprintf
-        "switch path allocates: %.4f minor words per switch (want 0)"
-        marginal
-      :: !failures;
-  (* Baseline MIPS gate. *)
-  (match baseline with
-  | None -> ()
-  | Some (path, base) -> (
-      match baseline_mode base with
-      | Some m when m <> mode ->
-          Printf.printf
-            "scale: baseline %s is a %s run, this is %s — MIPS check \
-             skipped\n%!"
-            path m mode
-      | _ -> (
-          match baseline_top_mips base ~zones:top.zones with
-          | None ->
-              Printf.printf "scale: %d-zone row not in baseline %s, skipped\n%!"
-                top.zones path
-          | Some m0 ->
-              let tolerance =
-                match Sys.getenv_opt "LZ_BENCH_TOLERANCE" with
-                | Some s -> (
-                    match float_of_string_opt s with
-                    | Some f when f > 0. && f < 1. -> f
-                    | _ ->
-                        Printf.eprintf
-                          "scale: LZ_BENCH_TOLERANCE must be in (0,1), got \
-                           %S\n"
-                          s;
-                        exit 2)
-                | None -> 0.20
-              in
-              if top.mips < (1. -. tolerance) *. m0 then
-                failures :=
-                  Printf.sprintf
-                    "%d-zone MIPS regressed: %.3f vs baseline %.3f (-%.0f%%)"
-                    top.zones top.mips m0
-                    (100. *. (1. -. (top.mips /. m0)))
-                  :: !failures
-              else
-                Printf.printf
-                  "scale: --check ok (%d-zone MIPS %.3f within %.0f%% of \
-                   %.3f)\n%!"
-                  top.zones top.mips (100. *. tolerance) m0)));
-  match !failures with
-  | [] -> ()
-  | fs ->
-      List.iter (fun f -> Printf.eprintf "scale: FAIL: %s\n" f) fs;
-      exit 1
+  let rollovers row = Asid_alloc.rollovers row.t.Kmod.asids in
+  let recycled row = Asid_alloc.recycled row.t.Kmod.asids in
+  let high_water row = Zone_tab.high_water row.t.Kmod.pgts in
+  List.iter
+    (fun row ->
+      Benchkit.say kit
+        "%4d zones   %5d conns   %6.2f MIPS   %6.1f cyc/switch   %d \
+         rollovers   %d recycled   hw %d"
+        row.zones row.connections (Benchkit.median row.mips)
+        (cycles_per_switch row) (rollovers row) (recycled row)
+        (high_water row))
+    rows;
+  let top = List.nth rows (List.length rows - 1) and bottom = List.hd rows in
+  let top_bottom = Array.map2 ( /. ) top.mips bottom.mips in
+  let per_insn = alloc_per_switch ~blocks:false ~asid_bits cm in
+  let blocks = alloc_per_switch ~blocks:true ~asid_bits cm in
+  Benchkit.say kit
+    "top/bottom MIPS %.3f (median of %d); minor words per switch: %.4f \
+     per-insn engine, %.1f block engine"
+    (Benchkit.median top_bottom) Benchkit.reps per_insn blocks;
+  let by_zones f =
+    Json.Obj (List.map (fun r -> (string_of_int r.zones, f r)) rows)
+  in
+  Benchkit.finish kit
+    [ ("asid_bits", Int asid_bits); ("serve_iters", Int iters);
+      ("rows",
+       by_zones (fun row ->
+           Obj
+             [ ("connections", Int row.connections);
+               ("switches", Int (switches row));
+               ("insns", Int (row.t.Kmod.core.Core.insns - row.i0));
+               ("cycles_per_switch", Num (cycles_per_switch row));
+               ("rollovers", Int (rollovers row));
+               ("recycled", Int (recycled row));
+               ("pgt_high_water", Int (high_water row)) ]));
+      ("minor_words_per_switch",
+       Obj [ ("per_insn", Num per_insn); ("blocks", Num blocks) ]);
+      ("mips", by_zones (fun r -> Benchkit.stats r.mips));
+      ("top_bottom_mips", Benchkit.stats top_bottom) ]
+    [ Same "rows"; Not_above "minor_words_per_switch.blocks";
+      Ratio "top_bottom_mips";
+      Benchkit.at_least "ASIDs recycled at the top K"
+        (float_of_int (recycled top)) 1.;
+      Benchkit.at_least "rollovers at the top K"
+        (float_of_int (rollovers top)) 1.;
+      Benchkit.at_most "top/bottom K cycles per switch"
+        (cycles_per_switch top /. cycles_per_switch bottom) 1.7;
+      (* The connection's table recycles one id: the id space must not
+         creep past residents + default + 1. *)
+      Benchkit.at_most "top-K pgt high water over zones"
+        (float_of_int (high_water top - top.zones)) 2.;
+      Benchkit.at_most "per-insn minor words per switch" per_insn 0.01 ]

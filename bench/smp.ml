@@ -4,10 +4,11 @@
 
    - MIPS vs core count (1/2/4/8): independent compute processes, one
      per core, fully pre-populated, run with one host domain per core;
-     aggregate simulated MIPS against host wall-clock. The curve only
-     scales when the host actually has the cores — host_cpus is
-     recorded in the output so the committed numbers are
-     interpretable.
+     aggregate simulated MIPS against host wall clock (the cores run
+     in parallel, so process CPU time would count them all). The core
+     counts alternate inside each repetition. The curve only scales
+     when the host actually has the cores, so the host fingerprint
+     sits beside it.
 
    - Shootdown latency: a 2-core shared-process run where core 0
      drives mprotect ro/rw flips (each one an IS shootdown with a DVM
@@ -15,19 +16,18 @@
      reports average ack latency in barriers and cycles. The protocol
      guarantees acks within two barriers.
 
-   Emits BENCH_smp.json. Flags:
-     --smoke   reduced 2-core run asserting sequential ≡ parallel
-               digests (the CI smoke gate); does not write the JSON.
-     --check   after the full run, enforce the gates: 2-core seq ≡ par
-               digest, shootdown ack ≤ 2 barriers, and — only when
-               host_cpus >= 4 — 4-core aggregate MIPS >= 2x 1-core. *)
+   Gates: a 2-core machine driven sequentially and with one host
+   domain per core ends with identical outcomes, digests and merged
+   traces; every shootdown is sent and acked within 2 barriers on
+   average; simulated insns and barrier counts equal the baseline's;
+   on hosts with >= 4 cpus, the median 4-core aggregate MIPS is >= 2x
+   1-core. `--smoke` skips the MIPS curve and runs 100 shootdowns
+   instead of 400. *)
 
 open Lz_kernel
+module Json = Benchkit.Json
 module Smp = Lz_smp.Smp
 module Core = Lz_cpu.Core
-
-let now () = Unix.gettimeofday ()
-let arg f = Array.exists (( = ) f) Sys.argv
 
 let code_va = 0x400000
 let data_va = 0x600000
@@ -111,118 +111,98 @@ let build_shootdown ~pairs () =
   Smp.assign ~pool:0 t 1 kernel proc ~entry:code1_va ~sp:stack_top;
   t
 
-let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
-
-(* Sequential-oracle ≡ parallel-domains digest check on a 2-core
-   machine; returns unit or dies. *)
-let check_seq_par ~iters () =
+(* Sequential-oracle ≡ parallel-domains check on a 2-core machine. *)
+let seq_par_identical ~iters () =
   let a = build_compute ~cores:2 ~iters () in
   let b = build_compute ~cores:2 ~iters () in
   let oa = Smp.run ~parallel:false a in
   let ob = Smp.run ~parallel:true b in
-  if oa <> ob then fail "smp: FAIL — seq vs par outcomes differ";
-  if Smp.digests a <> Smp.digests b then
-    fail "smp: FAIL — seq vs par digests differ";
-  if Smp.merged_trace a <> Smp.merged_trace b then
-    fail "smp: FAIL — seq vs par traces differ";
-  Printf.printf "smp: 2-core sequential ≡ parallel (digest + trace) OK\n%!"
+  oa = ob
+  && Smp.digests a = Smp.digests b
+  && Smp.merged_trace a = Smp.merged_trace b
 
 let () =
-  let smoke = arg "--smoke" in
-  let check = arg "--check" in
+  let kit = Benchkit.init "smp" in
   let host_cpus = Domain.recommended_domain_count () in
-  Printf.printf "smp: host has %d usable cpu(s)\n%!" host_cpus;
-
-  if smoke then begin
-    check_seq_par ~iters:30_000 ();
-    let t = build_shootdown ~pairs:50 () in
-    ignore (Smp.run ~max_insns:3_000_000 t);
-    let s0 = Smp.slot t 0 in
-    if s0.Smp.sd_sent <> 100 then
-      fail "smp: FAIL — expected 100 shootdowns, saw %d" s0.Smp.sd_sent;
-    if s0.Smp.stall_barriers > 2 * s0.Smp.sd_sent then
-      fail "smp: FAIL — shootdown acks took > 2 barriers on average";
-    Printf.printf "smp: smoke OK (100 shootdowns, %.2f barriers/ack)\n%!"
-      (float_of_int s0.Smp.stall_barriers /. float_of_int s0.Smp.sd_sent);
-    exit 0
-  end;
-
+  Benchkit.say kit "host has %d usable cpu(s)" host_cpus;
+  let seq_par = seq_par_identical ~iters:30_000 () in
   (* MIPS curve. *)
-  let iters = 300_000 in
-  let counts = [ 1; 2; 4; 8 ] in
+  let iters = 100_000 in
+  let counts = if kit.smoke then [] else [ 1; 2; 4; 8 ] in
+  let insns = Hashtbl.create 4 in
   let curve =
-    List.map
-      (fun cores ->
-        let t = build_compute ~cores ~iters () in
-        let t0 = now () in
-        let os = Smp.run ~parallel:true t in
-        let seconds = now () -. t0 in
-        List.iteri
-          (fun i (_, o) ->
-            match o with
-            | Kernel.Exited c when c = 40 + i -> ()
-            | _ -> fail "smp: FAIL — core %d bad outcome in MIPS run" i)
-          os;
-        let insns = total_insns t in
-        let mips = float_of_int insns /. seconds /. 1e6 in
-        Printf.printf "smp: %d core(s): %d insns in %.2fs = %.1f MIPS\n%!"
-          cores insns seconds mips;
-        (cores, insns, seconds, mips))
-      counts
+    Array.init (if kit.smoke then 0 else Benchkit.reps) (fun _ ->
+        List.map
+          (fun cores ->
+            let t = build_compute ~cores ~iters () in
+            let os = ref [] in
+            let s =
+              Benchkit.wall_time (fun () -> os := Smp.run ~parallel:true t)
+            in
+            List.iteri
+              (fun i (_, o) ->
+                match o with
+                | Kernel.Exited c when c = 40 + i -> ()
+                | _ -> failwith (Printf.sprintf "smp: core %d bad outcome" i))
+              !os;
+            Hashtbl.replace insns cores (total_insns t);
+            float_of_int (total_insns t) /. s /. 1e6)
+          counts)
   in
-  let mips_of n =
-    match List.find_opt (fun (c, _, _, _) -> c = n) curve with
-    | Some (_, _, _, m) -> m
-    | None -> 0.
-  in
-  let speedup4 = mips_of 4 /. mips_of 1 in
+  let mips i = Array.map (fun row -> List.nth row i) curve in
+  List.iteri
+    (fun i cores ->
+      Benchkit.say kit "%d core(s): %d insns, %.1f MIPS" cores
+        (Hashtbl.find insns cores) (Benchkit.median (mips i)))
+    counts;
+  let speedup4 = Array.map2 ( /. ) (mips 2) (mips 0) in
 
   (* Shootdown latency. *)
-  let t = build_shootdown ~pairs:200 () in
-  ignore (Smp.run ~max_insns:30_000_000 t);
+  let pairs = if kit.smoke then 50 else 200 in
+  let t = build_shootdown ~pairs () in
+  ignore (Smp.run ~max_insns:(15_000 * pairs) t);
   let s0 = Smp.slot t 0 in
-  let quantum = t.Smp.quantum in
   let avg_barriers =
     float_of_int s0.Smp.stall_barriers /. float_of_int (max 1 s0.Smp.sd_sent)
   in
-  let avg_cycles = avg_barriers *. float_of_int quantum in
-  Printf.printf
-    "smp: shootdown: %d sent, acked in %.2f barriers (%.0f cycles at Q=%d)\n%!"
-    s0.Smp.sd_sent avg_barriers avg_cycles quantum;
-
-  (* Emit the JSON. *)
-  let oc = open_out "BENCH_smp.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"smp\",\n  \"host_cpus\": %d,\n  \"iters_per_core\": %d,\n\
-    \  \"curve\": [\n%s\n  ],\n\
-    \  \"speedup_4core\": %.2f,\n\
-    \  \"shootdown\": { \"count\": %d, \"stall_barriers\": %d, \"avg_ack_barriers\": %.2f, \"quantum\": %d, \"avg_latency_cycles\": %.0f }\n\
-     }\n"
-    host_cpus iters
-    (String.concat ",\n"
-       (List.map
-          (fun (c, i, s, m) ->
-            Printf.sprintf
-              "    { \"cores\": %d, \"insns\": %d, \"seconds\": %.3f, \"mips\": %.1f }"
-              c i s m)
-          curve))
-    speedup4 s0.Smp.sd_sent s0.Smp.stall_barriers avg_barriers quantum
-    avg_cycles;
-  close_out oc;
-  Printf.printf "smp: wrote BENCH_smp.json\n%!";
-
-  if check then begin
-    check_seq_par ~iters:30_000 ();
-    if avg_barriers > 2.0 then
-      fail "smp: FAIL — shootdown acks averaged %.2f barriers (> 2)"
-        avg_barriers;
-    if host_cpus >= 4 && speedup4 < 2.0 then
-      fail "smp: FAIL — 4-core aggregate MIPS only %.2fx 1-core (>= 2x \
-            required on a %d-cpu host)"
-        speedup4 host_cpus;
-    if host_cpus < 4 then
-      Printf.printf
-        "smp: scaling gate skipped (host has %d cpu(s), need >= 4)\n%!"
+  Benchkit.say kit
+    "shootdown: %d sent, acked in %.2f barriers (%.0f cycles at Q=%d)"
+    s0.Smp.sd_sent avg_barriers
+    (avg_barriers *. float_of_int t.Smp.quantum)
+    t.Smp.quantum;
+  let scaling =
+    if kit.smoke then []
+    else if host_cpus >= 4 then
+      [ Benchkit.at_least "median 4-core / 1-core MIPS"
+          (Benchkit.median speedup4) 2. ]
+    else begin
+      Benchkit.say kit
+        "4-core scaling gate skipped: the host has %d cpu(s), it needs >= 4"
         host_cpus;
-    Printf.printf "smp: check OK\n%!"
-  end
+      []
+    end
+  in
+  Benchkit.finish kit
+    ([ ("host_cpus", Json.Int host_cpus); ("iters_per_core", Int iters);
+       ("insns",
+        Obj
+          (List.map
+             (fun c -> (string_of_int c, Json.Int (Hashtbl.find insns c)))
+             counts));
+       ("shootdown",
+        Obj
+          [ ("sent", Int s0.Smp.sd_sent);
+            ("stall_barriers", Int s0.Smp.stall_barriers);
+            ("quantum", Int t.Smp.quantum) ]);
+       ("mips",
+        Obj (List.mapi (fun i c -> (string_of_int c, Benchkit.stats (mips i)))
+               counts)) ]
+    @ if kit.smoke then [] else [ ("speedup_4core", Benchkit.stats speedup4) ])
+    ([ Benchkit.Bound
+         ("2-core sequential and parallel runs identical (outcomes, digests, \
+           traces)", seq_par);
+       Benchkit.at_least "shootdowns sent" (float_of_int s0.Smp.sd_sent)
+         (float_of_int (2 * pairs));
+       Benchkit.at_most "average shootdown ack barriers" avg_barriers 2.;
+       Same "insns"; Same "shootdown" ]
+    @ scaling)
